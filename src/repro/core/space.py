@@ -50,16 +50,14 @@ from repro.dgc.pinger import Pinger
 from repro.errors import (
     CommFailure,
     ConnectionClosed,
-    NameServiceError,
-    NarrowingError,
     NetObjError,
     NoSuchMethodError,
     NoSuchObjectError,
     ProtocolError,
-    RemoteError,
     ServerBusy,
     SpaceShutdownError,
     UnmarshalError,
+    exception_for_fault,
 )
 from repro.dgc.states import RefState
 from repro.marshal import tags
@@ -78,6 +76,7 @@ from repro.rpc.connection import Connection
 from repro.rpc.dispatcher import Dispatcher
 from repro.rpc.futures import RemoteFuture
 from repro.rpc.hotpath import HotpathProfile
+from repro.rpc.streamplane import MAX_WINDOW, StreamStats
 from repro.transport.base import Transport, TransportRegistry, split_endpoint
 from repro.transport.inprocess import InProcessTransport
 from repro.transport.reactor import ReactorPool, default_reactor_shards
@@ -86,16 +85,6 @@ from repro.transport.tcp import TcpTransport
 from repro.wire import protocol as wire_protocol
 from repro.wire.ids import SpaceID, fresh_space_id, intern_existing
 from repro.wire.wirerep import SPECIAL_OBJECT_INDEX, WireRep
-
-#: Fault kinds translated back into our exception types at the caller.
-_FAULT_KINDS = {
-    "NoSuchObjectError": NoSuchObjectError,
-    "NoSuchMethodError": NoSuchMethodError,
-    "NameServiceError": NameServiceError,
-    "NarrowingError": NarrowingError,
-    "UnmarshalError": UnmarshalError,
-    "CommFailure": CommFailure,
-}
 
 #: First byte of :data:`NONE_PICKLE`; a one-byte result pickle with
 #: this tag short-circuits the reply unpickle in ``_invoke_remote``.
@@ -293,6 +282,10 @@ class Space:
         self.fastlane_fallbacks = 0
         self.inline_demotions = 0
 
+        #: Bulk-data plane counters, shared by every connection's
+        #: stream table (surfaced as stats()["streams"]).
+        self.stream_stats = StreamStats()
+
         #: Per-stage hot-path buckets; instrumentation sites fire only
         #: when ``_hotpath`` is non-None (i.e. profiling was requested).
         self.hotpath = HotpathProfile()
@@ -458,6 +451,7 @@ class Space:
                 outbound=False, max_version=self._protocol_version,
                 reactor=self.reactor, inline_handler=self._try_inline,
                 profile=self._hotpath, admission=self.admission,
+                stream_stats=self.stream_stats,
             )
         except (CommFailure, ProtocolError):
             return
@@ -498,6 +492,7 @@ class Space:
             outbound=True, max_version=self._protocol_version,
             reactor=self.reactor, inline_handler=self._try_inline,
             profile=self._hotpath, admission=self.admission,
+            stream_stats=self.stream_stats,
         )
         self._track(connection)
         return connection
@@ -757,10 +752,8 @@ class Space:
 
     @staticmethod
     def _fault_to_exception(fault: messages.Fault) -> Exception:
-        known = _FAULT_KINDS.get(fault.kind)
-        if known is not None:
-            return known(fault.message)
-        return RemoteError(fault.kind, fault.message, fault.remote_traceback)
+        return exception_for_fault(fault.kind, fault.message,
+                                   fault.remote_traceback)
 
     # -- read leases: client half ------------------------------------------------------
 
@@ -1113,6 +1106,8 @@ class Space:
                         messages.LeaseInvalidateAck(message.call_id))
         elif isinstance(message, messages.LeaseRelease):
             self._apply_lease_release(connection.peer_id, message)
+        elif mtype is messages.StreamOpen:
+            self._serve_stream_open(connection, message)
         # Unknown requests are dropped; replies are handled in Connection.
 
     def _apply_dirty(self, peer: SpaceID, message: messages.Dirty):
@@ -1174,6 +1169,27 @@ class Space:
             if profile is not None:
                 profile.decode_ns += time.perf_counter_ns() - start
                 profile.decode_calls += 1
+
+    def _serve_stream_open(self, connection: Connection,
+                           message: messages.StreamOpen) -> None:
+        """STREAM_OPEN (v7): resolve the stream object and hand it to
+        the connection's stream table, which starts the pump (reader)
+        or the drainer (writer).  The object must offer the method the
+        plane will call as part of its remote surface — a stream frame
+        reaches nothing a CALL could not."""
+        writing = message.direction == messages.STREAM_WRITE
+        try:
+            if writing and message.credit > MAX_WINDOW:
+                raise ProtocolError(
+                    f"write window of {message.credit} bytes exceeds "
+                    f"{MAX_WINDOW}")
+            obj = self._resolve_target(message.target)
+            self._resolve_method(obj, "write" if writing else "read")
+        except NetObjError as exc:
+            connection.streams.refuse(
+                message.stream_id, type(exc).__name__, str(exc))
+            return
+        connection.streams.start(message.stream_id, obj)
 
     # -- the v5 call fast lane: serving bound calls ------------------------------------
 
@@ -1592,9 +1608,16 @@ class Space:
         hot-path profile (``hotpath``, all-zero unless the space was
         built with ``hotpath_profile=True``) and the name service
         (``naming``: ``mode`` single/mesh, entries; a mesh replica
-        adds gossip rounds, entries synced, elections, failovers).
+        adds gossip rounds, entries synced, elections, failovers) and
+        the bulk-data plane (``streams``: streams opened/active,
+        chunks and bytes each way, credit stalls, RPC fallbacks,
+        cancelled reads).
         """
         reactor = self.reactor.stats()
+        with self._conn_lock:
+            active_streams = sum(
+                connection.streams.active for connection in self._connections
+            )
         return {
             "admission": (
                 self.admission.stats() if self.admission is not None
@@ -1617,6 +1640,7 @@ class Space:
             "hotpath": self.hotpath.stats(
                 enabled=self._hotpath is not None
             ),
+            "streams": self.stream_stats.snapshot(active=active_streams),
         }
 
     def lease_stats(self) -> dict:

@@ -113,3 +113,27 @@ class RemoteError(NetObjError):
         self.kind = kind
         self.message = message
         self.remote_traceback = remote_traceback
+
+
+#: Fault kinds translated back into our exception types at the caller.
+_FAULT_KINDS = {
+    "NoSuchObjectError": NoSuchObjectError,
+    "NoSuchMethodError": NoSuchMethodError,
+    "NameServiceError": NameServiceError,
+    "NarrowingError": NarrowingError,
+    "UnmarshalError": UnmarshalError,
+    "CommFailure": CommFailure,
+    "ServerBusy": ServerBusy,
+}
+
+
+def exception_for_fault(kind: str, message: str,
+                        remote_traceback: str = "") -> Exception:
+    """The exception a caller raises for a failure that crossed the
+    wire as ``kind``/``message`` (a FAULT reply, a STREAM_END fault):
+    our own error types come back as themselves, anything else as
+    :class:`RemoteError`."""
+    known = _FAULT_KINDS.get(kind)
+    if known is not None:
+        return known(message)
+    return RemoteError(kind, message, remote_traceback)

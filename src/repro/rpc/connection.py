@@ -28,7 +28,8 @@ so a v5 runtime interoperates with a v2, v3 or v4 peer — in either
 dial direction — by never sending the newer frames (``CLEAN_BATCH`` is
 v3; the read-lease frames ``LEASE_REQ`` .. ``LEASE_INVALIDATE_ACK``
 are v4; the call-fast-lane frames ``CALL_BIND`` .. ``RESULT_FAST`` are
-v5).  The HELLO's legacy version field announces our floor, which a
+v5; ``BUSY`` is v6; the bulk-data plane's ``STREAM_*`` frames, routed
+to ``self.streams``, are v7).  The HELLO's legacy version field announces our floor, which a
 genuine pre-negotiation v2 peer accepts under its strict equality
 check; the real maximum rides in a trailing extension field old
 decoders ignore (see :class:`~repro.rpc.messages.Hello`).  The agreed
@@ -42,11 +43,14 @@ import threading
 import time
 from typing import Callable, Optional
 
-from repro.errors import CommFailure, ConnectionClosed, ProtocolError, ServerBusy
+from repro.errors import (
+    CallTimeout, CommFailure, ConnectionClosed, ProtocolError, ServerBusy,
+)
 from repro.rpc import messages
 from repro.rpc.admission import AdmissionController
 from repro.rpc.dispatcher import Dispatcher
 from repro.rpc.futures import CallFuture
+from repro.rpc.streamplane import StreamStats, StreamTable
 from repro.transport.base import Channel, SelectableChannel
 from repro.transport.reactor import ChannelPump, Reactor
 from repro.wire import protocol
@@ -78,6 +82,11 @@ _MAX_FREE_PENDING = 8
 _GC_PLANE_TAGS = frozenset({
     protocol.DIRTY, protocol.CLEAN, protocol.CLEAN_BATCH, protocol.PING,
 })
+
+#: Bulk-data frames of streams that are already open: routed to the
+#: connection's stream table on the delivering thread, never queued
+#: as requests and never shed (STREAM_OPEN is the admission point).
+_STREAM_FRAME_TAGS = protocol.STREAM_TAGS - {protocol.STREAM_OPEN}
 
 #: Request tags whose *pre-v6* reply handlers digest a FAULT: the call
 #: plane raises it as RemoteError, and a LEASE_REQ caller treats any
@@ -119,6 +128,7 @@ class Connection:
         ] = None,
         profile=None,
         admission: Optional[AdmissionController] = None,
+        stream_stats: Optional[StreamStats] = None,
     ):
         self._channel = channel
         self._local_id = local_id
@@ -173,6 +183,12 @@ class Connection:
         #: so the first few frames of a very fast peer may slip past
         #: admission — a benign, bounded slip.
         self._gauge = None
+        #: The bulk-data plane's streams on this connection (v7).
+        self.streams = StreamTable(
+            self, dispatcher,
+            stream_stats if stream_stats is not None else StreamStats(),
+            outbound,
+        )
 
         self._handshake(outbound, handshake_timeout)
         if admission is not None \
@@ -323,6 +339,31 @@ class Connection:
             raise
         self.send_buffer(buffer)
 
+    def send_stream_data(self, stream_id: int, chunk) -> None:
+        """Send one STREAM_DATA frame: the envelope from a pooled
+        buffer and ``chunk`` as a second piece, so the bulk bytes are
+        never copied behind their five-byte header."""
+        head = self.new_send_buffer()
+        try:
+            if self._closed.is_set():
+                raise ConnectionClosed("connection closed")
+            messages.encode_stream_data_header(head, stream_id)
+            self._channel.send_vector(finish_frame(head, len(chunk)), chunk)
+            if self._reactor is not None:
+                self._reactor.frames_out += 1
+        finally:
+            self._send_buffers.release(head)
+
+    def on_output_drained(self, callback: Callable[[], None]) -> bool:
+        """See :meth:`repro.transport.base.Channel.on_drained`."""
+        return self._channel.on_drained(callback)
+
+    def flush_output(self, timeout: float) -> None:
+        """Wait until buffered output has reached the wire."""
+        if not self._channel.flush(timeout) and not self._closed.is_set():
+            raise CallTimeout(
+                f"peer took no output for {timeout} s (not reading)")
+
     def call(
         self,
         message: messages.Message,
@@ -450,15 +491,28 @@ class Connection:
             # user code and accounts itself in the space's buckets.
             profile.reactor_ns += time.perf_counter_ns() - start
             profile.reactor_calls += 1
-        if message.tag in messages.REPLY_TAGS:
+        tag = message.tag
+        if tag in messages.REPLY_TAGS:
             self._complete(message)
+            return
+        if tag in _STREAM_FRAME_TAGS:
+            # Charged to the inflight-bytes gauge (reads pause when an
+            # owner cannot write as fast as a peer uploads), never
+            # policed: the stream was admitted at its OPEN.
+            gauge = self._gauge if tag == protocol.STREAM_DATA else None
+            if gauge is not None:
+                gauge.admit(len(message.data), police=False)
+            self.streams.dispatch(message, gauge)
+            return
+        if tag == protocol.STREAM_OPEN:
+            self._on_stream_open(message, len(frame))
             return
         # Admission: charge the frame against this connection's credit
         # budget before any work is queued for it.  Rate policing sheds
         # here; inflight-budget exhaustion pauses reads instead (the
         # gauge's pause callback) — invisible to a well-behaved peer.
         gauge = self._gauge
-        gc_plane = message.tag in _GC_PLANE_TAGS
+        gc_plane = tag in _GC_PLANE_TAGS
         nbytes = 0
         if gauge is not None:
             nbytes = len(frame)
@@ -513,7 +567,6 @@ class Connection:
                     admission.bulkhead_leave(bkey)
 
         call_id = getattr(message, "call_id", None)
-        tag = message.tag
 
         def on_shed():
             # Fired by a draining shutdown for queued-but-unstarted
@@ -532,6 +585,50 @@ class Connection:
             if bkey is not None:
                 admission.bulkhead_leave(bkey)
             self._shed(message, "queue full", "shed_queue")
+
+    def _on_stream_open(self, message: messages.StreamOpen,
+                        nbytes: int) -> None:
+        """Admit (or refuse) a STREAM_OPEN.  The stream's endpoint is
+        created here, on the delivering thread, so the DATA frames
+        that follow the OPEN find it; resolving the target is a
+        request like any other and goes to the dispatcher.  A refusal
+        — rate limit, full queue, shutdown — is answered with a
+        STREAM_END fault of kind ``ServerBusy``."""
+        gauge = self._gauge
+        admission = self._admission
+        streams = self.streams
+        stream_id = message.stream_id
+
+        def release() -> None:
+            if gauge is not None:
+                gauge.release(nbytes)
+
+        def refuse(reason: str, counter: str) -> None:
+            if admission is not None:
+                admission.count(counter)
+            streams.refuse(stream_id, "ServerBusy", reason)
+
+        if gauge is not None:
+            reason = gauge.admit(nbytes)
+            if reason is not None:
+                return refuse(reason, "shed_rate")
+        if not streams.accept(message):
+            return release()
+
+        def task():
+            try:
+                self._handle_request(self, message)
+            finally:
+                release()
+
+        def on_shed():
+            release()
+            refuse("shutting down", "shed_shutdown")
+
+        task.on_shed = on_shed
+        if not self._dispatcher.submit(task, shard=self._shard):
+            release()
+            refuse("queue full", "shed_queue")
 
     def on_closed(self, failure: Optional[Exception]) -> None:
         if failure is None:
@@ -651,7 +748,8 @@ class Connection:
     def try_close_idle(
         self, flush_timeout: float = DEFAULT_FLUSH_TIMEOUT
     ) -> bool:
-        """Orderly-close the connection iff no calls are in flight.
+        """Orderly-close the connection iff no calls are in flight and
+        no stream is open (a long transfer makes no calls).
 
         The idle-reaper's entry point: the pending-table check and the
         switch to the call-refusing ``_closing`` state are atomic under
@@ -664,7 +762,7 @@ class Connection:
         with self._pending_lock:
             if self._closed.is_set() or self._closing:
                 return True
-            if self._pending:
+            if self._pending or self.streams.active:
                 return False
             self._closing = True
         self._send_goodbye(flush_timeout)
@@ -696,6 +794,7 @@ class Connection:
         # whenever the Connection itself is collected.
         self.method_ids.clear()
         self.bound_methods.clear()
+        self.streams.fail_all(failure)
         with self._pending_lock:
             pending = list(self._pending.values())
             self._pending.clear()
@@ -708,6 +807,13 @@ class Connection:
             future._run_callbacks(callbacks)
         if self._on_close is not None:
             self._on_close(self)
+
+    @property
+    def carries_streams(self) -> bool:
+        """May the bulk-data plane use this connection?  Both ends
+        speak v7 and the channel delivers in order, without loss."""
+        return (self.version >= protocol.STREAM_VERSION
+                and self._channel.ordered)
 
     @property
     def closed(self) -> bool:

@@ -937,6 +937,162 @@ class LeaseInvalidateAck(_Encodable):
         return cls(call_id)
 
 
+# -- bulk-data plane (protocol v7) --------------------------------------------
+#
+# Stream frames carry no call id: the opener allocates a per-connection
+# stream id (odd from the dialing side, even from the accepting side,
+# so the two directions never collide) and every later frame names it.
+
+#: ``StreamOpen.direction``: which way the DATA frames flow.
+STREAM_READ = 0         # owner -> opener (a reader stream)
+STREAM_WRITE = 1        # opener -> owner (a writer stream)
+
+#: ``StreamEnd.status``.
+END_OK = 0              # producer finished; ``total`` bytes were moved
+END_FAULT = 1           # the stream failed; ``kind``/``message`` say why
+END_CANCEL = 2          # consumer: stop producing; producer: stopped
+
+
+def encode_stream_data_header(out: bytearray, stream_id: int) -> None:
+    """Write a STREAM_DATA envelope; the chunk follows as raw trailing
+    bytes — sent as its own piece, never copied behind the header."""
+    out.append(protocol.STREAM_DATA)
+    write_uvarint(out, stream_id)
+
+
+@dataclass(frozen=True)
+class StreamOpen(_Encodable):
+    """Bind ``stream_id`` to the stream object ``target`` (protocol v7).
+
+    ``credit`` is the byte window: for a read stream, how much the
+    owner may send before the first STREAM_CREDIT; for a write stream,
+    how much the opener will send before the owner's first
+    STREAM_CREDIT — either way no round trip precedes the first DATA.
+    A refused open is answered by a STREAM_END fault (kind
+    ``"ServerBusy"`` when admission control shed it).
+    """
+
+    stream_id: int
+    target: WireRep
+    direction: int
+    credit: int
+    tag = protocol.STREAM_OPEN
+
+    def encode_into(self, out: bytearray) -> None:
+        out.append(self.tag)
+        write_uvarint(out, self.stream_id)
+        self.target.to_wire(out)
+        out.append(self.direction)
+        write_uvarint(out, self.credit)
+
+    @classmethod
+    def decode(cls, data, offset: int) -> "StreamOpen":
+        stream_id, offset = read_uvarint(data, offset)
+        target, offset = WireRep.from_wire(data, offset)
+        if offset >= len(data):
+            raise UnmarshalError("truncated StreamOpen")
+        direction = data[offset]
+        if direction not in (STREAM_READ, STREAM_WRITE):
+            raise UnmarshalError(f"bad stream direction {direction}")
+        credit, offset = read_uvarint(data, offset + 1)
+        return cls(stream_id, target, direction, credit)
+
+
+class StreamData(_Encodable):
+    """One chunk of a stream: ``stream_id`` then the raw bytes as the
+    frame's trailing payload (zero-copy view on decode, like a RESULT
+    pickle).  A ``__slots__`` class: one per chunk on the bulk path."""
+
+    __slots__ = ("stream_id", "data")
+    tag = protocol.STREAM_DATA
+
+    def __init__(self, stream_id: int, data) -> None:
+        self.stream_id = stream_id
+        self.data = data
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, StreamData):
+            return (self.stream_id == other.stream_id
+                    and self.data == other.data)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"StreamData(stream_id={self.stream_id}, "
+                f"data=<{len(self.data)} bytes>)")
+
+    def encode_into(self, out: bytearray) -> None:
+        encode_stream_data_header(out, self.stream_id)
+        out += self.data
+
+    @classmethod
+    def decode(cls, data, offset: int) -> "StreamData":
+        stream_id, offset = read_uvarint(data, offset)
+        return cls(stream_id, _trailing(data, offset))
+
+
+@dataclass(frozen=True)
+class StreamCredit(_Encodable):
+    """The receiver consumed ``credit`` bytes: the sender may send
+    that many more."""
+
+    stream_id: int
+    credit: int
+    tag = protocol.STREAM_CREDIT
+
+    def encode_into(self, out: bytearray) -> None:
+        out.append(self.tag)
+        write_uvarint(out, self.stream_id)
+        write_uvarint(out, self.credit)
+
+    @classmethod
+    def decode(cls, data, offset: int) -> "StreamCredit":
+        stream_id, offset = read_uvarint(data, offset)
+        credit, offset = read_uvarint(data, offset)
+        return cls(stream_id, credit)
+
+
+@dataclass(frozen=True)
+class StreamEnd(_Encodable):
+    """End of a stream, in either direction.
+
+    From the producer it is the last frame of the stream: ``END_OK``
+    after the final byte (``total`` = bytes moved, the consumer checks
+    it), ``END_FAULT`` with the failure, or ``END_CANCEL`` confirming
+    the consumer's cancel.  From the consumer of a read stream it is
+    the cancel request (``END_CANCEL``); from the producer of a write
+    stream ``END_OK`` asks the owner to drain, flush and confirm with
+    its own STREAM_END.
+    """
+
+    stream_id: int
+    status: int
+    total: int = 0
+    kind: str = ""
+    message: str = ""
+    tag = protocol.STREAM_END
+
+    def encode_into(self, out: bytearray) -> None:
+        out.append(self.tag)
+        write_uvarint(out, self.stream_id)
+        out.append(self.status)
+        write_uvarint(out, self.total)
+        _write_str(out, self.kind)
+        _write_str(out, self.message)
+
+    @classmethod
+    def decode(cls, data, offset: int) -> "StreamEnd":
+        stream_id, offset = read_uvarint(data, offset)
+        if offset >= len(data):
+            raise UnmarshalError("truncated StreamEnd")
+        status = data[offset]
+        if status not in (END_OK, END_FAULT, END_CANCEL):
+            raise UnmarshalError(f"bad stream end status {status}")
+        total, offset = read_uvarint(data, offset + 1)
+        kind, offset = _read_str(data, offset)
+        message, offset = _read_str(data, offset)
+        return cls(stream_id, status, total, kind, message)
+
+
 Message = Union[
     Hello, HelloAck, Bye, Call, Result, Fault, Busy,
     BindCall, BoundCall, FastCall, FastResult,
@@ -944,6 +1100,7 @@ Message = Union[
     CopyAck, Ping, PingAck,
     LeaseReq, LeaseGrant, LeaseRenew, LeaseRelease,
     LeaseInvalidate, LeaseInvalidateAck,
+    StreamOpen, StreamData, StreamCredit, StreamEnd,
 ]
 
 _DECODERS = {
@@ -973,6 +1130,10 @@ _DECODERS = {
     protocol.LEASE_RELEASE: LeaseRelease.decode,
     protocol.LEASE_INVALIDATE: LeaseInvalidate.decode,
     protocol.LEASE_INVALIDATE_ACK: LeaseInvalidateAck.decode,
+    protocol.STREAM_OPEN: StreamOpen.decode,
+    protocol.STREAM_DATA: StreamData.decode,
+    protocol.STREAM_CREDIT: StreamCredit.decode,
+    protocol.STREAM_END: StreamEnd.decode,
 }
 
 #: Replies carry a ``call_id`` matched against the issuer's pending table.

@@ -11,12 +11,20 @@ reproduces that design on Python file objects:
   :class:`WriterStream`) that can cross the wire like any reference;
 * :func:`as_file` wraps the received surrogate back into an ordinary
   buffered Python file object, so application code on the client reads
-  and writes locally, with the buffer refilled/flushed in big chunks
-  over RPC — the paper's "buffered surrogate stream".
+  and writes locally — the paper's "buffered surrogate stream".
 
-The stream objects are plain network objects, so their lifetime is
-managed by the distributed collector like everything else: drop the
-surrogate and the concrete stream is eventually closed and reclaimed.
+How the bytes travel is :func:`as_file`'s business, not the caller's.
+Toward a peer that speaks protocol v7 they ride the bulk-data plane
+(:mod:`repro.rpc.streamplane`): credit-windowed stream frames the
+owner pumps ahead of the reader, so a transfer runs at the speed of
+the transport.  A concrete stream in the same space, or a surrogate
+whose owner predates v7, keeps the paper's arrangement — one remote
+``read``/``write`` call per ``buffer_size`` of data.
+
+The stream objects are plain network objects either way, so their
+lifetime is managed by the distributed collector like everything
+else: drop the surrogate and the concrete stream is eventually
+reclaimed.
 """
 
 from __future__ import annotations
@@ -25,6 +33,11 @@ import io
 from typing import BinaryIO
 
 from repro.core.netobj import NetObj
+from repro.core.space import Space
+from repro.core.surrogate import Surrogate
+from repro.errors import CommFailure, ConnectionClosed, SpaceShutdownError
+from repro.rpc.messages import STREAM_READ, STREAM_WRITE
+from repro.rpc.streamplane import window_for
 
 #: Refill/flush unit for surrogate streams.  Large enough to amortise
 #: the per-call cost (see experiment E3), small enough to stay prompt.
@@ -39,6 +52,16 @@ class ReaderStream(NetObj):
 
     def read(self, size: int) -> bytes:
         return self._file.read(size)
+
+    def readinto(self, buffer) -> int:
+        """Fill ``buffer`` from the file; the bulk-data plane's pump
+        refills its one reused chunk buffer through this."""
+        readinto = getattr(self._file, "readinto", None)
+        if readinto is not None:
+            return readinto(buffer) or 0
+        data = self._file.read(len(buffer))
+        buffer[:len(data)] = data
+        return len(data)
 
     def seek(self, offset: int, whence: int = io.SEEK_SET) -> int:
         return self._file.seek(offset, whence)
@@ -78,18 +101,29 @@ def export_writer(fileobj: BinaryIO) -> WriterStream:
 
 
 class _SurrogateRawReader(io.RawIOBase):
-    """Raw adapter: every ``readinto`` is one remote refill call."""
+    """Raw adapter, RPC path: every refill is one remote ``read`` call
+    of at most ``chunk`` bytes, however much the caller asked for."""
 
-    def __init__(self, stream):
+    def __init__(self, stream, chunk: int):
         self._stream = stream
+        self._chunk = max(1, chunk)
 
     def readable(self) -> bool:
         return True
 
     def readinto(self, buffer) -> int:
-        chunk = self._stream.read(len(buffer))
+        chunk = self._stream.read(min(len(buffer), self._chunk))
         buffer[: len(chunk)] = chunk
         return len(chunk)
+
+    def readall(self) -> bytes:
+        # ``RawIOBase.readall`` would refill 8 KiB at a time.
+        parts = []
+        while True:
+            chunk = self._stream.read(self._chunk)
+            if not chunk:
+                return b"".join(parts)
+            parts.append(chunk)
 
     def seekable(self) -> bool:
         try:
@@ -111,16 +145,22 @@ class _SurrogateRawReader(io.RawIOBase):
 
 
 class _SurrogateRawWriter(io.RawIOBase):
-    """Raw adapter: every ``write`` flush is one remote call."""
+    """Raw adapter, RPC path: a ``write`` is one remote call per
+    ``chunk`` bytes — slices of the caller's buffer, so a payload of
+    any size crosses in frames of bounded size."""
 
-    def __init__(self, stream):
+    def __init__(self, stream, chunk: int):
         self._stream = stream
+        self._chunk = max(1, chunk)
 
     def writable(self) -> bool:
         return True
 
     def write(self, data) -> int:
-        return self._stream.write(bytes(data))
+        view = memoryview(data).cast("B")
+        for start in range(0, len(view), self._chunk):
+            self._stream.write(bytes(view[start:start + self._chunk]))
+        return len(view)
 
     def flush(self) -> None:
         super().flush()
@@ -138,25 +178,156 @@ class _SurrogateRawWriter(io.RawIOBase):
                 self._stream.close()
 
 
+class _PlaneRawReader(_SurrogateRawReader):
+    """Raw adapter, bulk-data plane: reads come out of a stream the
+    owner pumps ahead of us (opened at the first read, so a file that
+    is never read costs nothing).  ``seek`` and ``close`` first cancel
+    that stream and wait for the owner's confirmation — no owner-side
+    read can race the remote call that follows."""
+
+    def __init__(self, stream, space: Space, buffer_size: int):
+        super().__init__(stream, buffer_size)
+        self._space = space
+        self._window = window_for(buffer_size)
+        self._inbound = None
+
+    def _open(self):
+        inbound = self._inbound
+        if inbound is None:
+            inbound = self._inbound = _open_stream(
+                self._space, self._stream, STREAM_READ, self._window)
+        return inbound
+
+    # At the end of the file (or on a failure) the stream is over and
+    # forgotten: a later read opens a fresh one at the owner's current
+    # position, as a later remote ``read`` call would have looked again.
+
+    def readinto(self, buffer) -> int:
+        count = 0
+        try:
+            count = self._open().readinto(buffer)
+        finally:
+            if not count:
+                self._inbound = None
+        return count
+
+    def readall(self) -> bytes:
+        try:
+            return self._open().readall()
+        finally:
+            self._inbound = None
+
+    def _cancel(self) -> int:
+        """Stop the read-ahead; returns how far it had run ahead."""
+        inbound, self._inbound = self._inbound, None
+        return inbound.cancel() if inbound is not None else 0
+
+    def seek(self, offset: int, whence: int = io.SEEK_SET) -> int:
+        ahead = self._cancel()
+        if whence == io.SEEK_CUR:
+            offset -= ahead  # the owner's position is that far past ours
+        return self._stream.seek(offset, whence)
+
+    def close(self) -> None:
+        if not self.closed:
+            try:
+                self._cancel()
+            finally:
+                super().close()
+
+
+class _PlaneRawWriter(_SurrogateRawWriter):
+    """Raw adapter, bulk-data plane: writes go out as window-bounded
+    stream chunks (slices, no copy); ``flush`` — and so ``close`` —
+    ends the stream and returns once the owner has confirmed every
+    byte written and flushed."""
+
+    def __init__(self, stream, space: Space, buffer_size: int):
+        super().__init__(stream, buffer_size)
+        self._space = space
+        self._window = window_for(buffer_size)
+        self._outbound = None
+
+    def write(self, data) -> int:
+        outbound = self._outbound
+        if outbound is None:
+            outbound = self._outbound = _open_stream(
+                self._space, self._stream, STREAM_WRITE, self._window)
+        return outbound.write(memoryview(data).cast("B"))
+
+    def flush(self) -> None:
+        io.RawIOBase.flush(self)
+        outbound, self._outbound = self._outbound, None
+        if outbound is not None:
+            outbound.finish()
+
+
+def _open_stream(space: Space, surrogate: Surrogate, direction: int,
+                 window: int):
+    """Open a plane stream on ``surrogate``'s owner."""
+    for retry in (False, True):
+        connection = space._conn_for_endpoints(surrogate._endpoints)
+        if not connection.carries_streams:
+            raise CommFailure(
+                "the stream's owner no longer speaks protocol v7")
+        try:
+            return connection.streams.open(
+                direction, surrogate._wirerep, window, space.call_timeout)
+        except ConnectionClosed:
+            # Reaped between the cache lookup and the OPEN (see
+            # Space._invoke_remote): the peer saw nothing, dial again.
+            if retry:
+                raise
+
+
+def _plane_space(stream):
+    """The space whose bulk-data plane reaches ``stream``'s owner, or
+    None when the bytes must travel by remote calls: a concrete
+    stream, an owner that predates protocol v7, or a channel that
+    does not keep frames in order."""
+    if not isinstance(stream, Surrogate):
+        return None
+    space = getattr(stream._invoker, "__self__", None)
+    if not isinstance(space, Space):
+        return None
+    try:
+        connection = space._conn_for_endpoints(stream._endpoints)
+    except (CommFailure, SpaceShutdownError):
+        return None  # the first remote call will say what is wrong
+    if not connection.carries_streams:
+        space.stream_stats.fallbacks += 1
+        return None
+    return space
+
+
 def as_file(stream, buffer_size: int = DEFAULT_CHUNK) -> BinaryIO:
     """Turn a (surrogate for a) stream object into a local file object.
 
     Readers come back as :class:`io.BufferedReader`, writers as
     :class:`io.BufferedWriter`; the buffer makes small application
-    reads/writes local, with one RPC per ``buffer_size`` of data.
-    Works on concrete streams too (same space), mirroring the object
-    table's "no surrogate for the owner" rule.
+    reads/writes local.  A surrogate whose owner speaks protocol v7
+    moves its bytes on the bulk-data plane, in chunks and under a
+    window both derived from ``buffer_size``; otherwise — an older
+    owner, or a concrete stream of this space, mirroring the object
+    table's "no surrogate for the owner" rule — every ``buffer_size``
+    of data is one remote (or direct) ``read``/``write`` call.
     """
-    if isinstance(stream, ReaderStream) or (
+    reading = isinstance(stream, ReaderStream) or (
         hasattr(stream, "read") and not hasattr(stream, "write")
-    ):
-        return io.BufferedReader(
-            _SurrogateRawReader(stream), buffer_size=buffer_size
-        )
-    if isinstance(stream, WriterStream) or hasattr(stream, "write"):
-        return io.BufferedWriter(
-            _SurrogateRawWriter(stream), buffer_size=buffer_size
-        )
-    raise TypeError(
-        f"not a reader or writer stream: {type(stream).__qualname__}"
     )
+    if not reading and not (
+        isinstance(stream, WriterStream) or hasattr(stream, "write")
+    ):
+        raise TypeError(
+            f"not a reader or writer stream: {type(stream).__qualname__}"
+        )
+    space = _plane_space(stream)
+    if reading:
+        raw = (_PlaneRawReader(stream, space, buffer_size)
+               if space is not None
+               else _SurrogateRawReader(stream, buffer_size))
+        return io.BufferedReader(raw, buffer_size=buffer_size)
+    raw = (_PlaneRawWriter(stream, space, buffer_size)
+           if space is not None
+           else _SurrogateRawWriter(stream, window_for(buffer_size)))
+    return io.BufferedWriter(raw, buffer_size=buffer_size)

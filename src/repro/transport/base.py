@@ -31,6 +31,11 @@ class Channel(ABC):
     must copy it.
     """
 
+    #: Every frame accepted arrives exactly once and in the order
+    #: sent.  True of every real transport; the simulated network may
+    #: reorder and drop, and the bulk-data plane — whose chunks carry
+    #: no sequence numbers — stays off such a channel.
+    ordered: bool = True
     #: Admission control's cap on buffered unsent output bytes (the
     #: reactor-mode write backlog).  ``None`` = unbounded.  Set by the
     #: owning connection at registration; transports that buffer
@@ -57,6 +62,31 @@ class Channel(ABC):
         to decouple the receiver from the sender's buffer reuse.
         """
         self.send(bytes(memoryview(frame)[FRAME_HEADER_SIZE:]))
+
+    def send_vector(self, head: bytearray, body) -> None:
+        """Send one frame given as two pieces: ``head`` (length prefix
+        patched by ``finish_frame(head, len(body))``, then the message
+        envelope) and ``body``, the bulk payload.  The bulk-data plane
+        sends its chunks this way so that megabytes are not copied
+        behind a five-byte header.  Never refused by
+        ``write_backlog_limit``: stream chunks are bounded by their
+        credit window, and an admitted stream is not shed.
+
+        The caller may reuse both pieces as soon as this returns.  The
+        default, for datagram-style transports, makes the one copy
+        such a transport needs anyway.
+        """
+        self.send(b"".join((memoryview(head)[FRAME_HEADER_SIZE:], body)))
+
+    def on_drained(self, callback: Callable[[], None]) -> bool:
+        """Ask for one ``callback()`` — on the transport's I/O thread,
+        so it must not block — when locally buffered output has
+        reached the wire.  False, and nothing registered, when there
+        is no backlog now (always, for unbuffered transports): the
+        caller just carries on sending.  A channel that closes with a
+        backlog drops the callback; whoever sends next gets the
+        :class:`~repro.errors.CommFailure`."""
+        return False
 
     @abstractmethod
     def recv(self, timeout: Optional[float] = None) -> Optional[bytes]: ...

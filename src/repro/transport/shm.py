@@ -23,8 +23,12 @@ leaks no files)::
 ``tail`` (producer cursor) and ``head`` (consumer cursor) are
 monotonically increasing uint64 byte counts; ``used = tail - head``,
 position in the buffer is ``cursor % capacity``.  Each cursor has
-exactly one writer, and an 8-byte aligned store is a single machine
-word on every platform CPython runs on — with the doorbell's
+exactly one writer and is loaded and stored through a
+``memoryview(...).cast("Q")`` of its ring header — one aligned native
+8-byte access, which the peer *process* can never observe half
+written.  (``struct.pack_into`` stores byte by byte: a peer reading
+between two of those stores saw a torn cursor, believed the ring held
+gigabytes, set ``need_space`` and wedged.)  With the doorbell's
 send/recv syscall pair as the cross-process memory barrier, the peer
 never observes a cursor before the bytes it covers.
 
@@ -66,12 +70,12 @@ from repro.transport.base import (
 from repro.wire.framing import FrameAssembler, pack_frame
 
 _MAGIC = b"RSHM\x01\x00\x00\x00"
-_U64 = struct.Struct("<Q")
+_U64 = struct.Struct("<Q")   # file header only; never a live cursor
 
 _HEADER_SIZE = 64          # file header (magic + capacity, padded)
 _RING_HEADER = 64          # per-ring header (tail/head/flag, padded)
-_TAIL_OFF = 0
-_HEAD_OFF = 8
+_TAIL_WORD = 0            # uint64 index within the ring header
+_HEAD_WORD = 1
 _FLAG_OFF = 16
 
 #: Default ring capacity per direction.  Large enough that a pipelined
@@ -102,7 +106,7 @@ class _Ring:
     — the cursor discipline in the module docstring depends on it.
     """
 
-    __slots__ = ("_map", "_mv", "_header", "_data", "_capacity")
+    __slots__ = ("_map", "_mv", "_words", "_header", "_data", "_capacity")
 
     def __init__(self, map_: mmap.mmap, mv: memoryview, header: int,
                  data: int, capacity: int):
@@ -111,22 +115,29 @@ class _Ring:
         # it does not — payload copies below go through ``_mv`` so each
         # byte crosses the ring exactly once per direction.
         self._mv = mv
+        # The ring header as native uint64 words (the mapping is page
+        # aligned and the header offset a multiple of 8): item access
+        # is one aligned 8-byte load or store.
+        self._words = mv[header:header + _RING_HEADER].cast("Q")
         self._header = header
         self._data = data
         self._capacity = capacity
 
     # Cursor accessors: single-word loads/stores on the mapping.
     def _tail(self) -> int:
-        return _U64.unpack_from(self._map, self._header + _TAIL_OFF)[0]
+        return self._words[_TAIL_WORD]
 
     def _head(self) -> int:
-        return _U64.unpack_from(self._map, self._header + _HEAD_OFF)[0]
+        return self._words[_HEAD_WORD]
 
     def _set_tail(self, value: int) -> None:
-        _U64.pack_into(self._map, self._header + _TAIL_OFF, value)
+        self._words[_TAIL_WORD] = value
 
     def _set_head(self, value: int) -> None:
-        _U64.pack_into(self._map, self._header + _HEAD_OFF, value)
+        self._words[_HEAD_WORD] = value
+
+    def release(self) -> None:
+        self._words.release()
 
     @property
     def need_space(self) -> bool:
@@ -212,6 +223,8 @@ class ShmChannel(SelectableChannel):
         self._cork = bytearray()
         self._drained = threading.Event()
         self._drained.set()
+        #: ``on_drained`` callbacks, fired when the cork empties.
+        self._drain_waiters: list = []
         bell.setblocking(True)
 
     # -- sending ---------------------------------------------------------------
@@ -222,39 +235,61 @@ class ShmChannel(SelectableChannel):
     def send_framed(self, frame: bytearray) -> None:
         self._sendall(frame)
 
-    def _sendall(self, frame) -> None:
+    def send_vector(self, head: bytearray, body) -> None:
+        # The ring takes the two pieces back to back: the payload is
+        # copied once, into shared memory, never behind its header.
+        self._sendall(head, body)
+
+    def on_drained(self, callback) -> bool:
+        with self._send_lock:
+            if not self._cork or self._reactor is None:
+                return False
+            self._drain_waiters.append(callback)
+            return True
+
+    def _sendall(self, frame, body=None) -> None:
         if self._reactor is not None:
-            return self._send_nonblocking(frame)
+            return self._send_nonblocking(frame, body)
         with self._send_lock:
             if self._closed.is_set():
                 raise CommFailure("channel is closed")
-            view = memoryview(frame)
-            while view:
-                wrote = self._out.produce(view)
-                if wrote:
-                    view = view[wrote:]
-                    self._ring_bell(_DATA_BELL)
-                elif self._closed.is_set() or self._eof:
-                    raise CommFailure("peer closed while sending")
-                else:
-                    # Blocking mode only carries the handshake; a full
-                    # ring here means the peer is slow, not wedged —
-                    # poll briefly rather than entangling the doorbell
-                    # with a concurrent blocking recv.
-                    time.sleep(0.0005)
+            for piece in (frame, body):
+                if piece is None:
+                    continue
+                view = memoryview(piece)
+                while view:
+                    wrote = self._out.produce(view)
+                    if wrote:
+                        view = view[wrote:]
+                        self._ring_bell(_DATA_BELL)
+                    elif self._closed.is_set() or self._eof:
+                        raise CommFailure("peer closed while sending")
+                    else:
+                        # Blocking mode only carries the handshake; a
+                        # full ring here means the peer is slow, not
+                        # wedged — poll briefly rather than entangling
+                        # the doorbell with a concurrent blocking recv.
+                        time.sleep(0.0005)
 
-    def _send_nonblocking(self, frame) -> None:
+    def _send_nonblocking(self, frame, body=None) -> None:
         """Reactor-mode send: never blocks the caller; whatever does
         not fit in the ring is corked for the ``\\x02`` doorbell.
         ``write_backlog_limit`` caps the cork — a peer that stops
-        draining its ring is disconnected, not buffered for."""
+        draining its ring is disconnected, not buffered for (a
+        two-piece stream chunk is exempt, see ``Channel.send_vector``)."""
         limit = self.write_backlog_limit
         with self._send_lock:
             if self._closed.is_set():
                 raise CommFailure("channel is closed")
             if self._cork:
+                if body is not None:
+                    self._cork += frame
+                    self._cork += body
+                    self._ring_bell(_DATA_BELL)
+                    return
                 if limit is not None and len(self._cork) + len(frame) > limit:
                     self._cork.clear()
+                    self._drain_waiters.clear()
                     self._drained.set()
                 else:
                     self._cork += frame
@@ -266,6 +301,14 @@ class ShmChannel(SelectableChannel):
                 if wrote < len(view):
                     # Copy the tail: the caller recycles its buffer.
                     self._cork += view[wrote:]
+                    if body is not None:
+                        self._cork += body
+                elif body is not None:
+                    view = memoryview(body)
+                    wrote = self._out.produce(view)
+                    if wrote < len(view):
+                        self._cork += view[wrote:]
+                if self._cork:
                     self._out.need_space = True
                     self._drained.clear()
                 self._ring_bell(_DATA_BELL)
@@ -281,6 +324,7 @@ class ShmChannel(SelectableChannel):
     def _flush_cork(self) -> None:
         """Reactor thread (``\\x02`` received): push corked bytes."""
         rang = False
+        waiters = ()
         with self._send_lock:
             if self._cork:
                 wrote = self._out.produce(self._cork)
@@ -291,8 +335,11 @@ class ShmChannel(SelectableChannel):
                     self._out.need_space = True
                 else:
                     self._drained.set()
+                    waiters, self._drain_waiters = self._drain_waiters, []
         if rang:
             self._ring_bell(_DATA_BELL)
+        for callback in waiters:
+            callback()
 
     def _ring_bell(self, which: bytes) -> None:
         """Nudge the peer.  Nonblocking and lossy-on-backlog by design:
@@ -445,6 +492,7 @@ class ShmChannel(SelectableChannel):
         self._closed.set()
         with self._send_lock:
             self._cork.clear()
+            self._drain_waiters.clear()
             self._drained.set()
         try:
             self._bell.shutdown(socket.SHUT_RDWR)
@@ -464,6 +512,11 @@ class ShmChannel(SelectableChannel):
             self._bell.close()
         except OSError:
             pass
+        with self._send_lock:
+            # Not under a producer's feet: ``produce`` runs under the
+            # same lock (the consumer side tolerates the ValueError).
+            self._out.release()
+            self._in.release()
         try:
             self._map_view.release()
         except (BufferError, ValueError):

@@ -30,6 +30,8 @@ class SimChannel(Channel):
         self._inbox: "queue.Queue" = queue.Queue()
         self._closed = threading.Event()
         self.peer: Optional["SimChannel"] = None
+        model = network.model
+        self.ordered = model.fifo and not model.drop_probability
 
     def send(self, payload) -> None:
         # Accepts any bytes-like payload; it is queued in the event

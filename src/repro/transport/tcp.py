@@ -50,6 +50,8 @@ class SocketChannel(SelectableChannel):
         self._sender_active = False
         self._drained = threading.Event()
         self._drained.set()
+        #: ``on_drained`` callbacks, fired when the backlog empties.
+        self._drain_waiters: list = []
         # Reactor adoption state (``attach_reactor``).
         self._reactor = None
         self._sink = None
@@ -72,7 +74,19 @@ class SocketChannel(SelectableChannel):
         # no concatenation, no intermediate bytes object.
         self._sendall(frame)
 
-    def _sendall(self, frame) -> None:
+    def send_vector(self, head: bytearray, body) -> None:
+        # Two pieces, one frame: ``sendmsg`` gathers them, so the bulk
+        # payload is never copied behind its header.
+        self._sendall(head, body)
+
+    def on_drained(self, callback) -> bool:
+        with self._cork_lock:
+            if not self._cork or self._reactor is None:
+                return False
+            self._drain_waiters.append(callback)
+            return True
+
+    def _sendall(self, frame, body=None) -> None:
         """Write one frame, coalescing under contention.
 
         Opportunistic corking: while some thread is inside ``sendall``
@@ -95,18 +109,22 @@ class SocketChannel(SelectableChannel):
         reactor to flush on writable events (``handle_writable``).
         """
         if self._reactor is not None:
-            return self._send_nonblocking(frame)
+            return self._send_nonblocking(frame, body)
         cork_lock = self._cork_lock
         with cork_lock:
             if self._sender_active:
                 # Copy, not alias: callers recycle their frame buffers
                 # the moment this returns.
                 self._cork += frame
+                if body is not None:
+                    self._cork += body
                 self.frames_coalesced += 1
                 return
             self._sender_active = True
         try:
             self._sock.sendall(frame)
+            if body is not None:
+                self._sock.sendall(body)
             while True:
                 with cork_lock:
                     if not self._cork:
@@ -123,13 +141,15 @@ class SocketChannel(SelectableChannel):
             self.close()
             raise CommFailure(f"send failed: {exc}") from exc
 
-    def _send_nonblocking(self, frame) -> None:
+    def _send_nonblocking(self, frame, body=None) -> None:
         """Reactor-mode send: never blocks the calling thread.
 
         The cork doubles as the write backlog toward a peer that is
         not reading; ``write_backlog_limit`` caps it.  A send that
         would grow the backlog past the cap disconnects the slow
-        consumer instead of buffering without bound.
+        consumer instead of buffering without bound — except a
+        two-piece stream chunk (``body``), which its credit window
+        already bounds (see ``Channel.send_vector``).
         """
         limit = self.write_backlog_limit
         with self._cork_lock:
@@ -137,6 +157,10 @@ class SocketChannel(SelectableChannel):
                 raise CommFailure("channel is closed")
             overflow = False
             if self._cork:
+                if body is not None:
+                    self._cork += frame
+                    self._cork += body
+                    return
                 if limit is not None and len(self._cork) + len(frame) > limit:
                     self._abort_cork_locked()
                     overflow = True
@@ -147,16 +171,27 @@ class SocketChannel(SelectableChannel):
                     return
             else:
                 try:
-                    sent = self._sock.send(frame)
+                    if body is None:
+                        sent = self._sock.send(frame)
+                    else:
+                        sent = self._sock.sendmsg((frame, body))
                 except (BlockingIOError, InterruptedError):
                     sent = 0
                 except OSError as exc:
                     self._abort_cork_locked()
                     raise CommFailure(f"send failed: {exc}") from exc
-                if sent == len(frame):
-                    return
-                # Copy the unsent tail: the caller recycles its buffer.
-                self._cork += memoryview(frame)[sent:]
+                # Copy the unsent tail: the caller recycles its buffers.
+                if body is None:
+                    if sent == len(frame):
+                        return
+                    self._cork += memoryview(frame)[sent:]
+                else:
+                    if sent == len(frame) + len(body):
+                        return
+                    for piece in (frame, body):
+                        if sent < len(piece):
+                            self._cork += memoryview(piece)[sent:]
+                        sent = max(0, sent - len(piece))
                 self._drained.clear()
         if overflow:
             hook = self.on_backlog_overflow
@@ -172,6 +207,7 @@ class SocketChannel(SelectableChannel):
         """Send-path failure cleanup (cork lock held): drop the
         backlog and release flush waiters before closing."""
         self._cork.clear()
+        self._drain_waiters.clear()
         self._drained.set()
 
     # -- reactor protocol (see transport.base.SelectableChannel) -------------
@@ -209,7 +245,10 @@ class SocketChannel(SelectableChannel):
                 return True
             self.coalesced_flushes += 1
             self._drained.set()
-            return False
+            waiters, self._drain_waiters = self._drain_waiters, []
+        for callback in waiters:
+            callback()
+        return False
 
     def handle_readable(self) -> None:
         """Reactor thread: drain the socket through the resumable

@@ -35,13 +35,15 @@ def new_frame() -> bytearray:
     return bytearray(FRAME_HEADER_SIZE)
 
 
-def finish_frame(frame: bytearray) -> bytearray:
+def finish_frame(frame: bytearray, trailing: int = 0) -> bytearray:
     """Patch the length prefix of a buffer built on :func:`new_frame`.
 
     Returns the same buffer, now a complete frame ready for
-    ``Channel.send_framed``.
+    ``Channel.send_framed``.  With ``trailing`` the buffer is only the
+    head of the frame: that many payload bytes follow it as a separate
+    piece (``Channel.send_vector``) and are counted in the prefix.
     """
-    length = len(frame) - FRAME_HEADER_SIZE
+    length = len(frame) - FRAME_HEADER_SIZE + trailing
     if length < 0:
         raise ProtocolError("frame buffer is missing its header space")
     if length > MAX_FRAME_SIZE:

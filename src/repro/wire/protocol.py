@@ -9,7 +9,10 @@ ordinary messages on the same channels as method invocations.
 
 from __future__ import annotations
 
-#: Version 6: admission control — the BUSY shed frame, a reply that
+#: Version 7: the bulk-data plane — credit-windowed stream frames
+#: (STREAM_OPEN/DATA/CREDIT/END) that carry surrogate-stream bytes as
+#: raw trailing payloads, no pickle and no per-chunk request.  Version
+#: 6 added admission control — the BUSY shed frame, a reply that
 #: tells the caller the request was refused (not failed) with a
 #: retry-after hint.  Version 5 added the call fast lane — method-id
 #: interning (CALL_BIND/CALL_BOUND), typed scalar argument/result
@@ -19,7 +22,7 @@ from __future__ import annotations
 #: added CLEAN_BATCH/CLEAN_BATCH_ACK (batched collector traffic).
 #: Version 2 introduced trailing pickles on CALL/RESULT (no varint
 #: length prefix), enabling single-buffer encode.
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 
 #: Oldest version we still speak.  HELLO negotiates down to
 #: ``min(ours, peer's)``; below this floor the handshake is rejected.
@@ -65,6 +68,12 @@ LEASE_RELEASE = 0x33    # client gives up a lease early (one-way)
 LEASE_INVALIDATE = 0x34  # owner tells a holder its cached state is stale
 LEASE_INVALIDATE_ACK = 0x35  # holder confirms it dropped the cached state
 
+# --- bulk-data plane (v7) --------------------------------------------------
+STREAM_OPEN = 0x40      # bind a stream id to a stream object's wireRep
+STREAM_DATA = 0x41      # stream id + raw trailing bytes (no pickle)
+STREAM_CREDIT = 0x42    # receiver grants the sender more byte credit
+STREAM_END = 0x43       # producer: finished (ok/fault + total); consumer: cancel
+
 _NAMES = {
     HELLO: "HELLO",
     HELLO_ACK: "HELLO_ACK",
@@ -92,6 +101,10 @@ _NAMES = {
     LEASE_RELEASE: "LEASE_RELEASE",
     LEASE_INVALIDATE: "LEASE_INVALIDATE",
     LEASE_INVALIDATE_ACK: "LEASE_INVALIDATE_ACK",
+    STREAM_OPEN: "STREAM_OPEN",
+    STREAM_DATA: "STREAM_DATA",
+    STREAM_CREDIT: "STREAM_CREDIT",
+    STREAM_END: "STREAM_END",
 }
 
 #: Tags that belong to the distributed collector rather than the mutator.
@@ -115,6 +128,12 @@ FASTLANE_TAGS = frozenset({CALL_BIND, CALL_BOUND, CALL_FAST, RESULT_FAST})
 #: peers travel as a FAULT with kind ``"ServerBusy"`` instead — every
 #: version since the floor understands FAULT.
 BUSY_VERSION = 6
+
+#: Tags of the v7 bulk-data plane, and the first version that speaks
+#: them.  Never emitted to an older peer — ``as_file`` on such a
+#: connection keeps the per-chunk RPC refill/flush path.
+STREAM_TAGS = frozenset({STREAM_OPEN, STREAM_DATA, STREAM_CREDIT, STREAM_END})
+STREAM_VERSION = 7
 
 
 def tag_name(tag: int) -> str:

@@ -163,6 +163,102 @@ class TestRawChannel:
             listener.close()
 
 
+#: The cross-process flood: frame size, and frames each way (1 GiB).
+FLOOD_FRAME = 64 * 1024
+FLOOD_FRAMES = 16 * 1024
+
+
+class _FloodSink:
+    """Reactor sink checking that frame *n* is the *n*-th to arrive."""
+
+    def __init__(self, expect: int):
+        self.expect = expect
+        self.count = 0
+        self.bad = []
+        self.done = threading.Event()
+
+    def on_frame(self, payload) -> None:
+        seq = self.count
+        if (len(payload) != FLOOD_FRAME
+                or payload[:8] != seq.to_bytes(8, "big")
+                or payload[-1] != seq & 0xFF):
+            self.bad.append(seq)
+        self.count += 1
+        if self.count == self.expect:
+            self.done.set()
+
+    def on_closed(self, failure) -> None:
+        self.done.set()
+
+
+def flood(channel, frames: int = FLOOD_FRAMES, timeout: float = 120.0) -> str:
+    """Send ``frames`` numbered frames through ``channel`` while
+    receiving as many, in reactor mode (corked sends, doorbells, the
+    ``need_space`` flag — the state a torn cursor wedged).  Returns
+    what went wrong, or ``""``.  Both processes of the test run this."""
+    from repro.transport.reactor import Reactor
+
+    reactor = Reactor("flood")
+    reactor.start()
+    sink = _FloodSink(frames)
+    try:
+        reactor.register(channel, sink)
+        body = bytearray(FLOOD_FRAME)
+        for seq in range(frames):
+            body[:8] = seq.to_bytes(8, "big")
+            body[-1] = seq & 0xFF
+            channel.send(body)
+            if not channel.flush(timeout):
+                return f"send wedged at frame {seq} of {frames}"
+        if not sink.done.wait(timeout):
+            return f"receive wedged at frame {sink.count} of {frames}"
+        if sink.count != frames or sink.bad:
+            return f"got {sink.count} frames, bad ones: {sink.bad[:5]}"
+        return ""
+    finally:
+        reactor.stop()
+
+
+class TestCrossProcess:
+    def test_a_gibibyte_each_way_through_a_one_mebibyte_ring(self):
+        """Both ends of every other test here share one interpreter
+        lock, so neither can catch the other half-way through a cursor
+        store.  Two processes can: with cursors packed byte by byte a
+        peer read ``tail - head`` as 10 951 893 417 on a 1 MiB ring,
+        set ``need_space`` and wedged every later frame."""
+        transport = ShmTransport(capacity=1 << 20)
+        accepted = _Collector()
+        listener = transport.listen(_unique_endpoint(), accepted)
+        script = (
+            "import sys\n"
+            "from repro.transport.shm import ShmTransport\n"
+            "from tests.test_shm_transport import flood\n"
+            "channel = ShmTransport(capacity=1 << 20).connect(sys.argv[1])\n"
+            "problem = flood(channel)\n"
+            "sys.stdout.write(problem or 'OK')\n"
+            "sys.stdout.flush()\n"
+            "sys.stdin.read()\n"  # hold the ring until the parent is done
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        peer = subprocess.Popen(
+            [sys.executable, "-c", script, listener.endpoint], env=env,
+            cwd=root, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        )
+        try:
+            assert accepted.ready.wait(30), "peer never connected"
+            assert flood(accepted.channels[0]) == ""
+            out, _ = peer.communicate(b"", timeout=150)
+            assert out == b"OK" and peer.returncode == 0
+        finally:
+            if peer.poll() is None:
+                peer.kill()
+                peer.wait()
+            for channel in accepted.channels:
+                channel.close()
+            listener.close()
+
+
 class TestPeerDeath:
     def test_peer_dies_mid_frame_blocking_recv(self):
         """A peer that vanishes after half a frame must surface

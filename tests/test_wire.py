@@ -291,3 +291,78 @@ class TestMemoryviewInputs:
         decoded, offset = WireRep.from_wire(memoryview(bytes(out)), 0)
         assert decoded == rep
         assert offset == len(out)
+
+
+class TestStreamFrames:
+    """Protocol v7: the bulk-data plane's frame family."""
+
+    TARGET = WireRep(fresh_space_id("owner"), 7)
+
+    def frames(self):
+        from repro.rpc import messages
+
+        return [
+            messages.StreamOpen(3, self.TARGET, messages.STREAM_READ, 1 << 22),
+            messages.StreamOpen(4, self.TARGET, messages.STREAM_WRITE, 256),
+            messages.StreamData(3, b"raw \x00 bytes, no pickle"),
+            messages.StreamData(3, b""),
+            messages.StreamCredit(3, 1 << 20),
+            messages.StreamEnd(3, messages.END_OK, 8 << 20),
+            messages.StreamEnd(3, messages.END_FAULT, 5, "ValueError", "boom"),
+            messages.StreamEnd(2 ** 40 + 1, messages.END_CANCEL),
+        ]
+
+    def test_round_trip(self):
+        from repro.rpc import messages
+
+        for frame in self.frames():
+            assert messages.decode(memoryview(frame.encode())) == frame
+
+    def test_data_is_a_view_of_the_frame(self):
+        from repro.rpc import messages
+
+        frame = bytearray(messages.StreamData(9, b"x" * 100).encode())
+        data = messages.decode(memoryview(frame)).data
+        assert isinstance(data, memoryview) and data.obj is frame
+        # tag + one-byte varint id, then the chunk: no length field.
+        assert len(frame) == 2 + 100
+
+    def test_two_piece_frame_counts_its_trailing_bytes(self):
+        from repro.rpc import messages
+
+        head = new_frame()
+        messages.encode_stream_data_header(head, 5)
+        finish_frame(head, trailing=1000)
+        (length,) = struct.unpack("!I", head[:FRAME_HEADER_SIZE])
+        assert length == len(head) - FRAME_HEADER_SIZE + 1000
+
+    def test_truncated_frames_are_rejected(self):
+        from repro.rpc import messages
+
+        for frame in self.frames():
+            if type(frame) is messages.StreamData:
+                continue  # its payload is "whatever follows"
+            encoded = frame.encode()
+            for cut in range(1, len(encoded)):
+                with pytest.raises(UnmarshalError):
+                    messages.decode(encoded[:cut])
+
+    def test_bad_direction_and_status_are_rejected(self):
+        from repro.rpc import messages
+
+        opened = bytearray(self.frames()[0].encode())
+        opened[-5] = 9  # direction byte sits before the 4-byte credit
+        with pytest.raises(UnmarshalError):
+            messages.decode(bytes(opened))
+        ended = bytearray(messages.StreamEnd(1, messages.END_OK).encode())
+        ended[2] = 9
+        with pytest.raises(UnmarshalError):
+            messages.decode(bytes(ended))
+
+    def test_stream_tags_are_v7(self):
+        from repro.wire import protocol
+
+        assert protocol.STREAM_VERSION == 7 <= protocol.PROTOCOL_VERSION
+        assert {protocol.tag_name(tag) for tag in protocol.STREAM_TAGS} == {
+            "STREAM_OPEN", "STREAM_DATA", "STREAM_CREDIT", "STREAM_END",
+        }
