@@ -106,6 +106,107 @@ class TestMarshalShape:
         assert sizes["shared-100x1k"] < 1400
 
 
+# -- cost per object, by shape ------------------------------------------------------
+
+class Reading:
+    """Scalars only."""
+
+    def __init__(self, serial=0, name="", level=0.0, ok=True):
+        self.serial, self.name, self.level, self.ok = serial, name, level, ok
+
+
+class Owned:
+    """Points at a sub-object many instances share."""
+
+    def __init__(self, serial=0, owner=None):
+        self.serial, self.owner = serial, owner
+
+
+class Tagged:
+    def __init__(self, tags=None):
+        self.tags = tags
+
+
+class Blob:
+    def __init__(self, payload=b""):
+        self.payload = payload
+
+
+class Twin:
+    def __init__(self, serial=0, other=None):
+        self.serial, self.other = serial, other
+
+
+def shape_batches(count=200):
+    """``{shape: list of count objects}`` — one struct shape each, so a
+    per-object cost can be read off (Weaver's evaluation reports its
+    object store the same way: by shape, not one aggregate)."""
+    owners = [Reading(i, f"owner-{i}", i / 7.0) for i in range(10)]
+    twins = []
+    for i in range(count // 2):
+        left, right = Twin(2 * i), Twin(2 * i + 1)
+        left.other, right.other = right, left
+        twins += [left, right]
+    return {
+        "scalars-only": [Reading(i, f"reading-{i:06d}", i * 0.5, i % 2 == 0)
+                         for i in range(count)],
+        "shared-sub-object": [Owned(i, owners[i % 10]) for i in range(count)],
+        "list-heavy": [Tagged([f"t{i}-{j}" for j in range(12)])
+                       for i in range(count)],
+        "bytes-heavy": [Blob(bytes([i % 256]) * 1024) for i in range(count)],
+        "cyclic-pair": twins,
+    }
+
+
+class TestMarshalByShape:
+    @pytest.mark.benchmark(group="E2-shape")
+    def test_cost_per_object_by_shape(self, benchmark, report):
+        from repro.marshal import MarshalPool, StructRegistry
+
+        registry = StructRegistry()
+        registry.register(Reading, fields=["serial", "name", "level", "ok"])
+        registry.register(Owned, fields=["serial", "owner"])
+        registry.register(Tagged, fields=["tags"])
+        registry.register(Blob, fields=["payload"])
+        registry.register(Twin, fields=["serial", "other"])
+        pool = MarshalPool(registry)
+
+        def best_of(fn, rounds=15):
+            best = float("inf")
+            for _ in range(rounds):
+                start = time.perf_counter()
+                fn()
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        def run():
+            rows = {}
+            pickler = pool.acquire_pickler()
+            unpickler = pool.acquire_unpickler()
+            for shape, batch in shape_batches().items():
+                data = pickler.dumps(batch)
+                assert len(unpickler.loads(data)) == len(batch)
+                rows[shape] = (
+                    best_of(lambda: pickler.dumps(batch)) / len(batch) * 1e6,
+                    best_of(lambda: unpickler.loads(data)) / len(batch) * 1e6,
+                    len(data) / len(batch),
+                )
+            return rows
+
+        rows = benchmark.pedantic(run, rounds=1, iterations=1)
+        for shape, (encode, decode, size) in rows.items():
+            report(
+                "E2 marshal",
+                f"shape {shape:18s}: dumps {encode:6.2f} us/object, "
+                f"loads {decode:6.2f} us/object, {size:7.1f} B/object",
+                **{f"shape_{shape}_dumps_us": encode,
+                   f"shape_{shape}_loads_us": decode},
+            )
+        # Shape, not speed: a shared sub-object is written once, so its
+        # holders cost less than objects carrying their own scalars.
+        assert rows["shared-sub-object"][2] < rows["scalars-only"][2]
+
+
 class TestAgainstStdlibPickle:
     @pytest.mark.benchmark(group="E2-shape")
     def test_cost_relative_to_stdlib(self, benchmark, report):

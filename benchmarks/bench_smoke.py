@@ -433,3 +433,52 @@ class TestSmokeMarshal:
     ], ids=["ints", "str-1k", "bytes-64k", "nested"])
     def test_round_trip(self, value):
         assert loads(dumps(value)) == value
+
+    def test_struct_plan_gate(self, report):
+        """Hardware-independent marshal gate: netbench's 200-record
+        batch as registered structs must not round-trip slower than
+        the same field values as plain dicts and tuples (sharing and
+        the cycle kept) through the same pooled codecs — a struct plan
+        that loses to the generic containers it replaces is broken."""
+        from repro.marshal import MarshalPool, global_registry
+        from tests.marshal_corpus import netbench_batch
+
+        structs = netbench_batch()
+        accounts = {}
+        plain = []
+        for record in structs:
+            account = record.account
+            shared = accounts.setdefault(
+                id(account), (account.number, account.holder, account.limits))
+            plain.append({
+                "serial": record.serial, "title": record.title,
+                "score": record.score, "tags": record.tags,
+                "account": shared, "blob": record.blob, "peer": None,
+            })
+        plain[0]["peer"], plain[-1]["peer"] = plain[-1], plain[0]
+
+        pool = MarshalPool(global_registry)
+        pickler = pool.acquire_pickler()
+        unpickler = pool.acquire_unpickler()
+
+        def round_trip(value):
+            start = time.perf_counter()
+            result = unpickler.loads(pickler.dumps(value))
+            elapsed = time.perf_counter() - start
+            assert len(result) == len(value)
+            return elapsed
+
+        as_structs = as_plain = float("inf")
+        for _ in range(15):  # interleaved, so a slow spell hits both
+            as_structs = min(as_structs, round_trip(structs))
+            as_plain = min(as_plain, round_trip(plain))
+        ratio = as_structs / as_plain
+        report(
+            "smoke",
+            f"struct plan gate: 200 records {as_structs * 1e3:5.2f} ms as "
+            f"structs, {as_plain * 1e3:5.2f} ms as dicts/tuples "
+            f"(x{ratio:.2f})",
+            smoke_struct_roundtrip_ms=as_structs * 1e3,
+            smoke_plain_roundtrip_ms=as_plain * 1e3,
+        )
+        assert ratio <= 1.3, (as_structs, as_plain)

@@ -11,9 +11,12 @@ sender only once the reference is safely registered.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Tuple
 
+from repro.core.netobj import NetObj
 from repro.core.surrogate import Surrogate
+from repro.core.typecodes import typechain
 from repro.errors import CommFailure, MarshalError, UnmarshalError
 from repro.rpc import messages
 from repro.wire.varint import read_uvarint, write_uvarint
@@ -91,8 +94,6 @@ class MarshalContext:
     # -- NetObjHandler protocol --------------------------------------------------
 
     def recognizes(self, value: object) -> bool:
-        from repro.core.netobj import NetObj
-
         return isinstance(value, (NetObj, Surrogate))
 
     def marshal(self, value: object) -> bytes:
@@ -112,14 +113,16 @@ class MarshalContext:
                     f"{space.space_id} has no public endpoint for dirty "
                     "calls to reach"
                 )
-            from repro.core.typecodes import typechain
-
             chain = tuple(typechain(type(value)))
             copy_id = space.transient.pin(value)
             space.dgc_owner.record_copy_sent(entry, copy_id)
         return encode_ref(wirerep, copy_id, tuple(endpoints), tuple(chain))
 
-    def unmarshal(self, payload) -> object:
+    def unmarshal(self, payload, following=None) -> object:
+        """``following()`` lists the reference payloads after this one
+        in the pickle being decoded; if this reference turns out to
+        need a dirty call, theirs are sent along with it (see
+        ``Space._prefetch_refs``)."""
         wirerep, copy_id, endpoints, chain = decode_ref(payload)
         space = self._space
         if self._connection is None:
@@ -136,7 +139,11 @@ class MarshalContext:
                 )
             self._ack(wirerep, copy_id)
             return entry.obj
-        surrogate = space.dgc_client.acquire_ref(wirerep, endpoints, chain)
+        surrogate = space.dgc_client.acquire_ref(
+            wirerep, endpoints, chain,
+            None if following is None
+            else partial(space._prefetch_refs, following),
+        )
         self._ack(wirerep, copy_id)
         return surrogate
 

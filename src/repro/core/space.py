@@ -31,7 +31,7 @@ from repro.core.marshalctx import MarshalContext, decode_ref
 from repro.core.netobj import (
     NetObj, quick_method_set, reads_method_set, remote_method_set,
 )
-from repro.core.objtable import ObjectTable
+from repro.core.objtable import ExportedEntry, ObjectTable
 from repro.core.surrogate import Surrogate
 from repro.core.typecodes import (
     TypeRegistry,
@@ -65,7 +65,6 @@ from repro.marshal.pickler import EMPTY_ARGS_PICKLE, NONE_PICKLE
 from repro.marshal.snapshot import build_replica, snapshot_state
 from repro.marshal.pool import MarshalPool
 from repro.marshal.registry import StructRegistry, global_registry
-from repro.marshal.unpickler import scan_netobj_payloads
 from repro.naming.agent import Agent
 from repro.rpc import messages
 from repro.rpc.admission import (
@@ -89,11 +88,6 @@ from repro.wire.wirerep import SPECIAL_OBJECT_INDEX, WireRep
 #: First byte of :data:`NONE_PICKLE`; a one-byte result pickle with
 #: this tag short-circuits the reply unpickle in ``_invoke_remote``.
 _NONE_TAG = tags.NONE
-
-#: Pickles shorter than this cannot hold two reference payloads, so the
-#: dirty-prefetch scan is skipped without looking at them (keeps the
-#: null-call hot path untouched).
-_PREFETCH_MIN_BYTES = 64
 
 
 class _MethodBinding:
@@ -134,6 +128,12 @@ class _MethodBinding:
 def _dead_ref():
     """Stands in for a weakref whose entry never resolved."""
     return None
+
+
+def _publish_bind(connection: Connection, wirerep: WireRep, method: str,
+                  method_id: int) -> None:
+    """Client side: make a confirmed binding visible to later calls."""
+    connection.method_ids.setdefault(wirerep, {}).setdefault(method, method_id)
 
 
 class Space:
@@ -261,7 +261,7 @@ class Space:
         )
         self.lease_table = LeaseTable(self.gc_config.lease_ttl)
         self.lease_cache = LeaseCache()
-        self.dgc_owner.lease_retire = self.lease_table.retire
+        self.dgc_owner.retire_holder = self._retire_holder
         self.dgc_client = DgcClient(
             self.object_table, self.types, self._gc_request,
             self._invoke_remote, self.gc_config,
@@ -601,7 +601,7 @@ class Space:
                 # The CALL_BIND frame is on the wire (its reply proves
                 # it), so a bound call published now can never overtake
                 # its bind on the stream.
-                connection.method_ids.setdefault(*pending_bind)
+                _publish_bind(connection, *pending_bind)
             if profile is None:
                 return self._decode_reply(connection, reply)
             start = time.perf_counter_ns()
@@ -645,7 +645,7 @@ class Space:
                 continue
             if pending_bind is not None:
                 # Published after the send, as in _invoke_remote.
-                connection.method_ids.setdefault(*pending_bind)
+                _publish_bind(connection, *pending_bind)
             return RemoteFuture(
                 future, lambda reply, c=connection: self._decode_reply(c, reply)
             )
@@ -656,7 +656,7 @@ class Space:
         """Build one request frame in a pooled buffer (caller owns it).
 
         Returns ``(buffer, pending_bind)``: ``pending_bind`` is the
-        ``((wirerep, method), method_id)`` pair the caller must publish
+        ``(wirerep, method, method_id)`` triple the caller must publish
         into ``connection.method_ids`` once the frame has been sent
         (None when no new binding was announced).
         """
@@ -687,8 +687,8 @@ class Space:
         """The v5 request envelope: CALL_BIND on a binding's first
         call, CALL_FAST/CALL_BOUND afterwards.  Returns the pending
         bind publication (see :meth:`_encode_call`) or None."""
-        key = (wirerep, method)
-        method_id = connection.method_ids.get(key)
+        bound = connection.method_ids.get(wirerep)
+        method_id = bound.get(method) if bound is not None else None
         if method_id is None:
             # First call through this binding: the METHOD_BIND
             # announcement rides the CALL frame itself, so interning
@@ -702,7 +702,7 @@ class Space:
                 buffer, call_id, method_id, wirerep, method
             )
             self._pickle_args_into(connection, buffer, args, kwargs)
-            return key, method_id
+            return wirerep, method, method_id
         if fastlane and not kwargs:
             base = len(buffer)
             messages.encode_fast_call_prefix(buffer, call_id, method_id)
@@ -743,7 +743,6 @@ class Space:
         pickle = reply.result_pickle
         if len(pickle) == 1 and pickle[0] == _NONE_TAG:
             return None
-        self._prefetch_refs(connection, pickle)
         unpickler = self._marshal.acquire_unpickler(self._codec_ctx(connection))
         try:
             return unpickler.loads(pickle)
@@ -908,6 +907,7 @@ class Space:
             if not reply.ok:
                 raise NoSuchObjectError(reply.error)
         elif kind == "clean":
+            connection.method_ids.pop(target, None)
             self._release_lease(connection, target)
             # Cleans are idempotent (the seqno dedups at the owner), so
             # a BUSY shed is retried with backoff; a dirty above is
@@ -920,6 +920,7 @@ class Space:
             ))
         elif kind == "clean_batch":
             for entry_target, _seqno, _strong in entries:
+                connection.method_ids.pop(entry_target, None)
                 self._release_lease(connection, entry_target)
             if connection.version >= 3 and len(entries) > 1:
                 self.clean_batch_frames += 1
@@ -972,27 +973,25 @@ class Space:
 
         future.add_done_callback(_finish)
 
-    def _prefetch_refs(self, connection: Connection, pickle) -> None:
+    def _prefetch_refs(self, following) -> None:
         """Pipeline the dirty calls of a multi-reference message.
 
-        Scans the still-encoded pickle for NETOBJ payloads; when it
-        carries two or more references new to this space, their dirty
-        calls are issued as futures *before* the sequential unpickle
-        walks into them, collapsing k dirty round trips into ~1.  The
-        unpickle then finds each entry already OK (or waits briefly on
-        the in-flight dirty) and builds the surrogate as usual.  Dirty
-        calls themselves stay synchronous per the formal model — only
-        their mutual serialisation is removed.
+        Runs on the decoding thread at the moment the unpickle meets a
+        reference that needs a dirty call of its own (``following`` is
+        the unpickler's scan of the bytes after it — a pickle that
+        carries no new reference is never scanned).  The dirty calls of
+        the later references new to this space are issued as futures
+        right here, ahead of the synchronous one, collapsing k dirty
+        round trips into ~1.  The unpickle then finds each entry
+        already OK (or waits briefly on the in-flight dirty) and builds
+        the surrogate as usual.  Dirty calls themselves stay
+        synchronous per the formal model — only their mutual
+        serialisation is removed.
         """
-        if len(pickle) < _PREFETCH_MIN_BYTES:
-            return
-        payloads = scan_netobj_payloads(pickle)
-        if len(payloads) < 2:
-            return
         fresh = []
         seen = set()
         client = self.dgc_client
-        for payload in payloads:
+        for payload in following():
             try:
                 wirerep, _copy_id, endpoints, chain = decode_ref(payload)
             except UnmarshalError:
@@ -1007,7 +1006,7 @@ class Space:
             ):
                 continue  # already usable or busy; nothing to hide
             fresh.append((wirerep, endpoints, chain))
-        if len(fresh) >= 2:
+        if fresh:
             client.prefetch_refs(fresh, self._gc_dirty_async)
 
     def _sweep_transients(self) -> None:
@@ -1110,6 +1109,19 @@ class Space:
             self._serve_stream_open(connection, message)
         # Unknown requests are dropped; replies are handled in Connection.
 
+    def _retire_holder(self, entry: ExportedEntry, client: SpaceID) -> None:
+        """``client`` left ``entry``'s dirty set (a clean that was not
+        stale, or a purge): what it held *through* that reference goes
+        with it — its read lease and, on each of its connections, its
+        method bindings.  The collector calls this before the clean is
+        acknowledged, so a re-import's CALL_BIND can only come after."""
+        self.lease_table.retire(entry, client)
+        with self._conn_lock:
+            connections = list(self._conns_by_peer.get(client, ()))
+        for connection in connections:
+            for method_id in connection.bound_targets.pop(entry.index, ()):
+                connection.bound_methods.pop(method_id, None)
+
     def _apply_dirty(self, peer: SpaceID, message: messages.Dirty):
         if message.target.owner != self.space_id:
             return False, f"not the owner of {message.target}"
@@ -1158,7 +1170,6 @@ class Space:
             return (), {}
         profile = self._hotpath
         start = time.perf_counter_ns() if profile is not None else 0
-        self._prefetch_refs(connection, args_pickle)
         unpickler = self._marshal.acquire_unpickler(
             self._codec_ctx(connection)
         )
@@ -1234,6 +1245,9 @@ class Space:
                         bool(reads) and message.method not in reads
                     )
         connection.bound_methods[message.method_id] = binding
+        connection.bound_targets.setdefault(target.index, []).append(
+            message.method_id)
+        connection.bound_high = max(connection.bound_high, message.method_id)
 
     def _bound_target(self, connection: Connection, message):
         """Resolve a CALL_BOUND/CALL_FAST to ``(binding, obj)``.
@@ -1243,13 +1257,16 @@ class Space:
         object after the peer's clean)."""
         binding = connection.bound_methods.get(message.method_id)
         if binding is None:
-            raise NoSuchMethodError(
-                f"unknown method binding {message.method_id} "
-                "(bound call without a preceding CALL_BIND)"
-            )
-        if binding.fault is not None:
+            if message.method_id > connection.bound_high:
+                raise NoSuchMethodError(
+                    f"unknown method binding {message.method_id} "
+                    "(bound call without a preceding CALL_BIND)"
+                )
+            entry = None  # bound once, evicted with the peer's clean
+        elif binding.fault is not None:
             raise binding.fault[0](binding.fault[1])
-        entry = binding.entry_ref()
+        else:
+            entry = binding.entry_ref()
         if entry is None:
             raise NoSuchObjectError(
                 f"object bound to method id {message.method_id} "

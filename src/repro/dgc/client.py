@@ -174,12 +174,17 @@ class DgcClient:
     # -- the receive-copy path -----------------------------------------------------
 
     def acquire_ref(self, wirerep: WireRep, endpoints: Tuple[str, ...],
-                    chain: Tuple[str, ...]):
+                    chain: Tuple[str, ...],
+                    before_dirty: Optional[Callable[[], None]] = None):
         """Make ``wirerep`` usable here and return its surrogate.
 
         This is the unmarshal-side of a reference copy: it blocks the
         deserialising thread until the reference is registered with
-        its owner (or raises if that proves impossible).
+        its owner (or raises if that proves impossible).  If that takes
+        a dirty call of our own, ``before_dirty`` runs first (no lock
+        held): the caller's chance to put the dirty calls of the
+        message's *other* new references on the wire ahead of the one
+        this thread is about to wait for (:meth:`prefetch_refs`).
         """
         entry = self._entry_for(wirerep, endpoints, chain)
         deadline = time.monotonic() + 3 * self._config.gc_call_timeout
@@ -225,7 +230,7 @@ class DgcClient:
                     self._wait(entry)
                     continue
             # We claimed the dirty call; perform it outside the lock.
-            return self._perform_dirty(entry, claimed_seqno)
+            return self._perform_dirty(entry, claimed_seqno, before_dirty)
 
     def _wait(self, entry: RefEntry) -> None:
         """Wait for a state change; raise if this life cycle failed."""
@@ -236,8 +241,10 @@ class DgcClient:
                 f"reference {entry.wirerep} unusable: {entry.last_failure}"
             )
 
-    def _perform_dirty(self, entry: RefEntry, seqno: int):
+    def _perform_dirty(self, entry: RefEntry, seqno: int, before_dirty=None):
         try:
+            if before_dirty is not None:
+                before_dirty()
             self.dirty_calls_sent += 1
             self._gc_request(entry.endpoints, "dirty",
                              target=entry.wirerep, seqno=seqno)

@@ -25,16 +25,17 @@ class DgcOwner:
         self._table = table
         self._lock = threading.RLock()
         self._on_drop = on_drop
-        #: Optional hook ``(entry, client)`` retiring the client's read
-        #: lease when it leaves the dirty set (CLEAN or purge) — leases
-        #: imply dirty-set membership, so departure must retire them.
+        #: Optional hook ``(entry, client)`` retiring what the client
+        #: holds through the reference — its read lease, its method
+        #: bindings — when it leaves the dirty set (CLEAN or purge):
+        #: both imply dirty-set membership, so departure retires them.
         #: Called strictly *outside* this collector's lock: the lease
         #: lock orders before it (the grant path pickles snapshots
         #: under the lease lock, which can take this lock via
         #: record_copy_sent), so calling it under our lock would be the
         #: textbook ABBA deadlock.
-        self.lease_retire: Optional[Callable[[ExportedEntry, SpaceID], None]] \
-            = None
+        self.retire_holder: Optional[
+            Callable[[ExportedEntry, SpaceID], None]] = None
         # Statistics read by tests and the GC benchmarks.
         self.dirty_calls_seen = 0
         self.clean_calls_seen = 0
@@ -79,8 +80,8 @@ class DgcOwner:
                 self._maybe_drop(entry)
             else:
                 self.stale_calls_ignored += 1
-        if departed is not None and self.lease_retire is not None:
-            self.lease_retire(departed, client)
+        if departed is not None and self.retire_holder is not None:
+            self.retire_holder(departed, client)
 
     # -- transient entries for owner-sent copies ---------------------------------
 
@@ -116,9 +117,9 @@ class DgcOwner:
                     entry.pdirty.discard(client)
                     departed.append(entry)
                     self._maybe_drop(entry)
-        if self.lease_retire is not None:
+        if self.retire_holder is not None:
             for entry in departed:
-                self.lease_retire(entry, client)
+                self.retire_holder(entry, client)
         return len(departed)
 
     def clients(self) -> Set[SpaceID]:

@@ -1,7 +1,8 @@
 """The pickler: Python values → bytes.
 
-Encoding is a straightforward recursive descent with two twists that
-the reproduction depends on:
+Encoding is a recursive descent that spends exactly one Python frame
+per value: the parent looks the child's exact type up in a table and
+calls its encoder directly.  Two twists the reproduction depends on:
 
 * **Sharing and cycles are preserved.**  Memoizable values receive
   consecutive memo ids as their tags are emitted; repeats are emitted
@@ -16,31 +17,18 @@ the reproduction depends on:
 from __future__ import annotations
 
 import struct
-from typing import Optional, Protocol
+from typing import Callable, Optional, Protocol
 
 from repro.errors import MarshalError
 from repro.marshal import tags
 from repro.marshal.registry import StructRegistry, global_registry
+from repro.marshal.tags import MAX_DEPTH, MEMO_VALUE_LIMIT
 from repro.wire.varint import write_uvarint
 
-_FLOAT_STRUCT = struct.Struct("!d")
+_PACK_FLOAT = struct.Struct("!Bd").pack
 
 #: Values needing more than this many varint bytes use INT_BIG.
 _UVARINT_MAX = (1 << 63) - 1
-
-#: Maximum container-nesting depth.  Deeper graphs raise MarshalError /
-#: UnmarshalError instead of exhausting the interpreter stack — which
-#: matters twice over for the unpickler, whose input is remote data.
-#: 256 keeps the encoder's ~3 Python frames per level comfortably
-#: under the default interpreter recursion limit.
-MAX_DEPTH = 256
-
-#: Strings/bytes longer than this skip by-value memoization: hashing a
-#: large payload for the memo table costs more than re-encoding ever
-#: saves, and bulk payloads are rarely repeated within one message.
-#: (A memo id is still *burned* for them so the decoder, which assigns
-#: ids positionally, stays in lockstep.)
-MEMO_VALUE_LIMIT = 4096
 
 #: Canonical pickles of the two payloads every void RPC carries — the
 #: argument tuple ``((), {})`` and the result ``None``.  The call path
@@ -55,18 +43,24 @@ class NetObjHandler(Protocol):
     """Hook through which the object runtime plugs into pickling.
 
     ``recognizes`` decides whether a value is a network object (either
-    a concrete exported object or a surrogate).  ``marshal`` returns
-    the payload bytes to embed — typically the wireRep plus typecode
-    chain — and performs whatever bookkeeping the sender requires
-    (e.g. recording a transient dirty entry).  ``unmarshal`` is the
-    mirror image used by the unpickler.
+    a concrete exported object or a surrogate); the verdict must depend
+    on the value's exact type only — the pickler asks once per type and
+    message.  ``marshal`` returns the payload bytes to embed —
+    typically the wireRep plus typecode chain — and performs whatever
+    bookkeeping the sender requires (e.g. recording a transient dirty
+    entry).  ``unmarshal`` is the mirror image used by the unpickler;
+    ``following()`` returns the payloads of the references that come
+    *after* this one in the same pickle (a structural scan, run only
+    if called, and once per pickle: later calls return ``[]``), for a
+    handler that wants to register them in one go.
     """
 
     def recognizes(self, value: object) -> bool: ...
 
     def marshal(self, value: object) -> bytes: ...
 
-    def unmarshal(self, payload: bytes) -> object: ...
+    def unmarshal(self, payload: bytes,
+                  following: Callable[[], list]) -> object: ...
 
 
 class Pickler:
@@ -87,11 +81,16 @@ class Pickler:
         self._registry = registry if registry is not None else global_registry
         self._handler = netobj_handler
         self._out = bytearray()
-        self._memo_by_id: dict[int, int] = {}
-        self._memo_by_value: dict[tuple, int] = {}
-        self._keepalive: list[object] = []
-        self._next_memo = 0
-        self._depth = 0
+        #: Memoized values in memo-id order — the list the decoder will
+        #: rebuild.  Also keeps every identity-memoized value alive so
+        #: its id() cannot be recycled mid-pickle.
+        self._memo: list = []
+        self._ids: dict = {}      # id(container/struct/netobj) -> memo id
+        self._strs: dict = {}     # str value -> memo id
+        self._bytes: dict = {}    # bytes value -> memo id
+        #: Non-builtin types met in this message: exact type -> its
+        #: StructCodec, or _NETOBJ when the handler claimed it.
+        self._others: dict = {}
 
     def bind(self, netobj_handler: Optional[NetObjHandler]) -> "Pickler":
         """Attach the handler for the next message; returns ``self``."""
@@ -100,16 +99,16 @@ class Pickler:
 
     def reset(self) -> None:
         self._out.clear()
-        self._memo_by_id.clear()
-        self._memo_by_value.clear()
-        self._keepalive.clear()
-        self._next_memo = 0
-        self._depth = 0
+        self._memo.clear()
+        self._ids.clear()
+        self._strs.clear()
+        self._bytes.clear()
+        self._others.clear()
 
     def dumps(self, value: object) -> bytes:
         """Encode ``value`` and return the pickle bytes."""
         try:
-            self._write(value)
+            _ENCODERS.get(type(value), _encode_other)(self, value, 0)
             return bytes(self._out)
         finally:
             self.reset()
@@ -125,219 +124,232 @@ class Pickler:
         own = self._out
         self._out = out
         try:
-            self._write(value)
+            _ENCODERS.get(type(value), _encode_other)(self, value, 0)
         finally:
             self._out = own
             self.reset()
 
-    # -- memo management ----------------------------------------------------
 
-    def _assign_memo_id(self, value: object, by_value: bool = False) -> int:
-        memo_id = self._next_memo
-        self._next_memo += 1
-        if by_value:
-            self._memo_by_value[(type(value), value)] = memo_id
-        else:
-            self._memo_by_id[id(value)] = memo_id
-            # Hold a reference so id() cannot be recycled mid-pickle.
-            self._keepalive.append(value)
-        return memo_id
+# -- encoders ---------------------------------------------------------------------
+#
+# One function per exact type, all ``(pickler, value, depth)``.  ``depth``
+# counts the containers around ``value``; only a container checks it, on
+# entry.  A container memoizes itself, writes its header, and dispatches
+# each child through ``_ENCODERS`` — anything not in the table (a struct,
+# a network object, a subclass of a builtin) goes to ``_encode_other``.
 
-    def _write_ref(self, memo_id: int) -> None:
-        self._out.append(tags.REF)
-        write_uvarint(self._out, memo_id)
+def _too_deep() -> MarshalError:
+    return MarshalError(f"value nesting exceeds {MAX_DEPTH} levels")
 
-    # -- encoders -------------------------------------------------------------
 
-    def _write(self, value: object) -> None:
-        self._depth += 1
-        if self._depth > MAX_DEPTH:
-            self._depth -= 1
-            raise MarshalError(
-                f"value nesting exceeds {MAX_DEPTH} levels"
-            )
-        try:
-            self._write_inner(value)
-        finally:
-            self._depth -= 1
+def _encode_none(p: Pickler, value, depth: int) -> None:
+    p._out.append(tags.NONE)
 
-    def _write_inner(self, value: object) -> None:
-        # Singletons first (bool is an int subclass, so True/False must
-        # never reach the type table), then one dict lookup replaces
-        # the former 14-branch if/elif chain.
-        if value is None:
-            self._out.append(tags.NONE)
-        elif value is True:
-            self._out.append(tags.TRUE)
-        elif value is False:
-            self._out.append(tags.FALSE)
-        else:
-            writer = _DISPATCH.get(type(value))
-            if writer is not None:
-                writer(self, value)
-            elif self._handler is not None and self._handler.recognizes(value):
-                self._write_netobj(value)
-            else:
-                self._write_struct(value)
 
-    def _write_int(self, value: int) -> None:
-        out = self._out
-        if 0 <= value <= _UVARINT_MAX:
-            out.append(tags.INT_POS)
-            write_uvarint(out, value)
-        elif -_UVARINT_MAX - 1 <= value < 0:
-            out.append(tags.INT_NEG)
-            write_uvarint(out, -1 - value)
-        else:
-            raw = value.to_bytes(
-                (value.bit_length() + 8) // 8, "little", signed=True
-            )
-            out.append(tags.INT_BIG)
-            write_uvarint(out, len(raw))
-            out += raw
+def _encode_bool(p: Pickler, value: bool, depth: int) -> None:
+    p._out.append(tags.TRUE if value else tags.FALSE)
 
-    def _write_float(self, value: float) -> None:
-        self._out.append(tags.FLOAT)
-        self._out += _FLOAT_STRUCT.pack(value)
 
-    def _write_str(self, value: str) -> None:
-        if len(value) <= MEMO_VALUE_LIMIT:
-            memo_id = self._memo_by_value.get((str, value))
-            if memo_id is not None:
-                self._write_ref(memo_id)
-                return
-            self._assign_memo_id(value, by_value=True)
-        else:
-            # Burn the id (decoder numbering is positional) but skip
-            # hashing the payload into the memo table.
-            self._next_memo += 1
-        encoded = value.encode("utf-8")
-        self._out.append(tags.STR)
-        write_uvarint(self._out, len(encoded))
-        self._out += encoded
+def _encode_int(p: Pickler, value: int, depth: int) -> None:
+    out = p._out
+    if 0 <= value <= _UVARINT_MAX:
+        out.append(tags.INT_POS)
+        write_uvarint(out, value)
+    elif -_UVARINT_MAX - 1 <= value < 0:
+        out.append(tags.INT_NEG)
+        write_uvarint(out, -1 - value)
+    else:
+        raw = value.to_bytes((value.bit_length() + 8) // 8, "little", signed=True)
+        out.append(tags.INT_BIG)
+        write_uvarint(out, len(raw))
+        out += raw
 
-    def _write_bytes(self, value: bytes) -> None:
-        if len(value) <= MEMO_VALUE_LIMIT:
-            memo_id = self._memo_by_value.get((bytes, value))
-            if memo_id is not None:
-                self._write_ref(memo_id)
-                return
-            self._assign_memo_id(value, by_value=True)
-        else:
-            self._next_memo += 1
-        self._out.append(tags.BYTES)
-        write_uvarint(self._out, len(value))
-        self._out += value
 
-    def _write_bytearray(self, value: bytearray) -> None:
-        # Mutable, so identity-memoized: two occurrences of the *same*
-        # bytearray stay aliased after a round trip.
-        memo_id = self._memo_by_id.get(id(value))
-        if memo_id is not None:
-            self._write_ref(memo_id)
+def _encode_float(p: Pickler, value: float, depth: int) -> None:
+    p._out += _PACK_FLOAT(tags.FLOAT, value)
+
+
+def _encode_str(p: Pickler, value: str, depth: int) -> None:
+    out = p._out
+    memo = p._memo
+    if len(value) <= MEMO_VALUE_LIMIT:
+        # One probe: a new value takes the next id, a seen one
+        # answers with the id it took.
+        memo_id = p._strs.setdefault(value, len(memo))
+        if memo_id != len(memo):
+            out.append(tags.REF)
+            write_uvarint(out, memo_id)
             return
-        self._assign_memo_id(value)
-        self._out.append(tags.BYTEARRAY)
-        write_uvarint(self._out, len(value))
-        self._out += value
+    # A large string burns its id (decoder numbering is positional)
+    # but is never hashed into the value memo.
+    memo.append(value)
+    raw = value.encode("utf-8")
+    out.append(tags.STR)
+    if len(raw) < 0x80:
+        out.append(len(raw))
+    else:
+        write_uvarint(out, len(raw))
+    out += raw
 
-    def _write_list(self, value: list) -> None:
-        memo_id = self._memo_by_id.get(id(value))
-        if memo_id is not None:
-            self._write_ref(memo_id)
+
+def _encode_bytes(p: Pickler, value: bytes, depth: int) -> None:
+    out = p._out
+    memo = p._memo
+    if len(value) <= MEMO_VALUE_LIMIT:
+        memo_id = p._bytes.setdefault(value, len(memo))
+        if memo_id != len(memo):
+            out.append(tags.REF)
+            write_uvarint(out, memo_id)
             return
-        self._assign_memo_id(value)
-        self._out.append(tags.LIST)
-        write_uvarint(self._out, len(value))
+    memo.append(value)
+    out.append(tags.BYTES)
+    if len(value) < 0x80:
+        out.append(len(value))
+    else:
+        write_uvarint(out, len(value))
+    out += value
+
+
+def _encode_bytearray(p: Pickler, value: bytearray, depth: int) -> None:
+    # Mutable, so identity-memoized: two occurrences of the *same*
+    # bytearray stay aliased after a round trip.
+    out = p._out
+    memo = p._memo
+    memo_id = p._ids.setdefault(id(value), len(memo))
+    if memo_id != len(memo):
+        out.append(tags.REF)
+        write_uvarint(out, memo_id)
+        return
+    memo.append(value)
+    out.append(tags.BYTEARRAY)
+    write_uvarint(out, len(value))
+    out += value
+
+
+def _sequence_encoder(tag: int):
+    def encode(p: Pickler, value, depth: int) -> None:
+        out = p._out
+        memo = p._memo
+        memo_id = p._ids.setdefault(id(value), len(memo))
+        if memo_id != len(memo):
+            out.append(tags.REF)
+            write_uvarint(out, memo_id)
+            return
+        if depth >= MAX_DEPTH:
+            raise _too_deep()
+        memo.append(value)
+        out.append(tag)
+        if len(value) < 0x80:
+            out.append(len(value))
+        else:
+            write_uvarint(out, len(value))
+        depth += 1
+        encoders = _ENCODERS
         for item in value:
-            self._write(item)
-
-    def _write_tuple(self, value: tuple) -> None:
-        memo_id = self._memo_by_id.get(id(value))
-        if memo_id is not None:
-            self._write_ref(memo_id)
-            return
-        self._assign_memo_id(value)
-        self._out.append(tags.TUPLE)
-        write_uvarint(self._out, len(value))
-        for item in value:
-            self._write(item)
-
-    def _write_dict(self, value: dict) -> None:
-        memo_id = self._memo_by_id.get(id(value))
-        if memo_id is not None:
-            self._write_ref(memo_id)
-            return
-        self._assign_memo_id(value)
-        self._out.append(tags.DICT)
-        write_uvarint(self._out, len(value))
-        for key, item in value.items():
-            self._write(key)
-            self._write(item)
-
-    def _write_set(self, tag: int, value) -> None:
-        memo_id = self._memo_by_id.get(id(value))
-        if memo_id is not None:
-            self._write_ref(memo_id)
-            return
-        self._assign_memo_id(value)
-        self._out.append(tag)
-        write_uvarint(self._out, len(value))
-        for item in value:
-            self._write(item)
-
-    def _write_mutable_set(self, value: set) -> None:
-        self._write_set(tags.SET, value)
-
-    def _write_frozenset(self, value: frozenset) -> None:
-        self._write_set(tags.FROZENSET, value)
-
-    def _write_netobj(self, value: object) -> None:
-        memo_id = self._memo_by_id.get(id(value))
-        if memo_id is not None:
-            self._write_ref(memo_id)
-            return
-        self._assign_memo_id(value)
-        payload = self._handler.marshal(value)
-        self._out.append(tags.NETOBJ)
-        write_uvarint(self._out, len(payload))
-        self._out += payload
-
-    def _write_struct(self, value: object) -> None:
-        codec = self._registry.codec_for_instance(value)
-        if codec is None:
-            raise MarshalError(
-                f"cannot pickle value of unregistered type "
-                f"{type(value).__qualname__}"
-            )
-        memo_id = self._memo_by_id.get(id(value))
-        if memo_id is not None:
-            self._write_ref(memo_id)
-            return
-        self._assign_memo_id(value)
-        self._out.append(tags.STRUCT)
-        self._write_str(codec.name)
-        fields = codec.disassemble(value)
-        write_uvarint(self._out, len(fields))
-        for field_value in fields:
-            self._write(field_value)
+            encoders.get(type(item), _encode_other)(p, item, depth)
+    return encode
 
 
-#: Exact-type dispatch table for :meth:`Pickler._write_inner`.
-#: Subclasses of these types deliberately do *not* hit the fast path:
-#: they fall through to the struct registry, exactly as the old
-#: ``type(value) is X`` chain behaved.
-_DISPATCH = {
-    int: Pickler._write_int,
-    float: Pickler._write_float,
-    str: Pickler._write_str,
-    bytes: Pickler._write_bytes,
-    bytearray: Pickler._write_bytearray,
-    list: Pickler._write_list,
-    tuple: Pickler._write_tuple,
-    dict: Pickler._write_dict,
-    set: Pickler._write_mutable_set,
-    frozenset: Pickler._write_frozenset,
+def _encode_dict(p: Pickler, value: dict, depth: int) -> None:
+    out = p._out
+    memo = p._memo
+    memo_id = p._ids.setdefault(id(value), len(memo))
+    if memo_id != len(memo):
+        out.append(tags.REF)
+        write_uvarint(out, memo_id)
+        return
+    if depth >= MAX_DEPTH:
+        raise _too_deep()
+    memo.append(value)
+    out.append(tags.DICT)
+    write_uvarint(out, len(value))
+    depth += 1
+    encoders = _ENCODERS
+    for key, item in value.items():
+        encoders.get(type(key), _encode_other)(p, key, depth)
+        encoders.get(type(item), _encode_other)(p, item, depth)
+
+
+#: Marks a type the netobj handler claimed in ``Pickler._others``.
+_NETOBJ = object()
+
+
+def _encode_other(p: Pickler, value: object, depth: int) -> None:
+    """A registered struct (by its encode plan) or a network object."""
+    cls = type(value)
+    codec = p._others.get(cls)
+    if codec is None:
+        # First instance of this type in the message.  The handler
+        # outranks the registry: a registered class that is also a
+        # network object crosses by reference.
+        handler = p._handler
+        if handler is not None and handler.recognizes(value):
+            codec = _NETOBJ
+        else:
+            codec = p._registry.by_cls.get(cls)
+            if codec is None:
+                raise MarshalError(
+                    "cannot pickle value of unregistered type "
+                    f"{cls.__qualname__}"
+                )
+        p._others[cls] = codec
+    out = p._out
+    memo = p._memo
+    memo_id = p._ids.setdefault(id(value), len(memo))
+    if memo_id != len(memo):
+        out.append(tags.REF)
+        write_uvarint(out, memo_id)
+        return
+    if codec is _NETOBJ:
+        memo.append(value)
+        payload = p._handler.marshal(value)
+        out.append(tags.NETOBJ)
+        write_uvarint(out, len(payload))
+        out += payload
+        return
+    if depth >= MAX_DEPTH:
+        raise _too_deep()
+    memo.append(value)
+    # The type name shares the string memo with ordinary strings.
+    name_id = p._strs.get(codec.name)
+    if name_id is not None:
+        out.append(tags.STRUCT)
+        out.append(tags.REF)
+        write_uvarint(out, name_id)
+    else:
+        if codec.memoize_name:
+            p._strs[codec.name] = len(memo)
+        memo.append(codec.name)
+        out += codec.header
+    try:
+        fields = codec.getter(value)
+    except AttributeError as exc:
+        raise MarshalError(
+            f"instance of {codec.name} missing field: {exc}"
+        ) from exc
+    out += codec.count
+    depth += 1
+    encoders = _ENCODERS
+    for item in fields:
+        encoders.get(type(item), _encode_other)(p, item, depth)
+
+
+#: Exact-type dispatch table.  Subclasses of these types deliberately
+#: do *not* match: they fall through to the struct registry and are
+#: rejected unless registered in their own right.
+_ENCODERS = {
+    type(None): _encode_none,
+    bool: _encode_bool,
+    int: _encode_int,
+    float: _encode_float,
+    str: _encode_str,
+    bytes: _encode_bytes,
+    bytearray: _encode_bytearray,
+    list: _sequence_encoder(tags.LIST),
+    tuple: _sequence_encoder(tags.TUPLE),
+    dict: _encode_dict,
+    set: _sequence_encoder(tags.SET),
+    frozenset: _sequence_encoder(tags.FROZENSET),
 }
 
 

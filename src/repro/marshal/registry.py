@@ -6,19 +6,54 @@ with an explicit registry: an application registers a class under a
 stable name (on every space that will see it), and instances are then
 marshaled field-by-field.  Unregistered types are rejected with
 :class:`~repro.errors.MarshalError` rather than silently mis-encoded.
+
+Registration is also where the per-type marshaling work happens — the
+paper's stubs carry marshaling code generated per type; here
+:class:`StructCodec` precomputes, once per class, everything the
+walkers would otherwise derive per instance: the header bytes, a
+C-level getter for all fields at once, and the cheapest sound way to
+fill a fresh instance.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import threading
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Type
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, Optional, Sequence, Type
 
-from repro.errors import MarshalError, UnmarshalError
+from repro.errors import UnmarshalError
+from repro.marshal import tags
+from repro.wire.varint import write_uvarint
+
+
+def _uvarint(value: int) -> bytes:
+    out = bytearray()
+    write_uvarint(out, value)
+    return bytes(out)
 
 
 class StructCodec:
-    """How to take a registered class apart and put it back together."""
+    """The encode and decode plans of one registered class.
+
+    Encode plan, used by :class:`~repro.marshal.pickler.Pickler`:
+    ``header`` is ``STRUCT STR len name`` (written when the name is new
+    to the message's string memo; ``memoize_name`` is False for a name
+    too long to memoize), ``getter(obj)`` returns every field value in
+    declaration order, ``count`` is the encoded field count.
+
+    Decode plan, used by :class:`~repro.marshal.unpickler.Unpickler`:
+    with no ``factory`` the instance is allocated by ``new(cls)`` and
+    entered into the memo *before* its fields decode — so structs may
+    sit on cycles — and each field is stored straight into the
+    instance dict when ``plain`` says that is sound (``setattr``
+    otherwise); with a ``factory`` the instance is built in one phase
+    from the decoded values.
+    """
+
+    __slots__ = ("name", "cls", "fields", "factory", "header",
+                 "memoize_name", "getter", "count", "new", "plain")
 
     def __init__(
         self,
@@ -32,40 +67,23 @@ class StructCodec:
         self.fields = tuple(fields)
         self.factory = factory
 
-    def disassemble(self, obj: object) -> Tuple[object, ...]:
-        try:
-            return tuple(getattr(obj, f) for f in self.fields)
-        except AttributeError as exc:
-            raise MarshalError(
-                f"instance of {self.name} missing field: {exc}"
-            ) from exc
+        raw = name.encode("utf-8")
+        self.header = bytes((tags.STRUCT, tags.STR)) + _uvarint(len(raw)) + raw
+        self.memoize_name = len(name) <= tags.MEMO_VALUE_LIMIT
+        self.count = _uvarint(len(self.fields))
+        if len(self.fields) > 1:
+            self.getter = attrgetter(*self.fields)
+        else:  # attrgetter answers with a tuple only from two names up
+            names = self.fields
+            self.getter = lambda obj: tuple(getattr(obj, n) for n in names)
 
-    def precreate(self) -> object:
-        """Allocate an empty instance (fields filled in later).
-
-        This two-phase construction lets struct instances participate
-        in cyclic graphs.  Not available when an explicit ``factory``
-        was registered.
-        """
-        return self.cls.__new__(self.cls)
-
-    def fill(self, obj: object, values: Sequence[object]) -> None:
-        self._check_arity(values)
-        for field, value in zip(self.fields, values):
-            object.__setattr__(obj, field, value)
-
-    def assemble(self, values: Sequence[object]) -> object:
-        """Single-phase construction through the registered factory."""
-        self._check_arity(values)
-        assert self.factory is not None
-        return self.factory(*values)
-
-    def _check_arity(self, values: Sequence[object]) -> None:
-        if len(values) != len(self.fields):
-            raise UnmarshalError(
-                f"struct {self.name}: expected {len(self.fields)} fields, "
-                f"got {len(values)}"
-            )
+        self.new = cls.__new__
+        # Writing the instance dict directly is sound only when no
+        # field is backed by a descriptor on the class (slot, property).
+        self.plain = getattr(cls, "__dictoffset__", 0) != 0 and not any(
+            hasattr(inspect.getattr_static(cls, field, None), "__set__")
+            for field in self.fields
+        )
 
 
 class StructRegistry:
@@ -73,13 +91,14 @@ class StructRegistry:
 
     Spaces normally share :data:`global_registry`; tests that need
     isolation may build private registries and hand them to the
-    pickler/unpickler directly.
+    pickler/unpickler directly.  Writers hold the lock; the walkers
+    read ``by_cls``/``by_name`` without it (one dict lookup is atomic).
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._by_name: Dict[str, StructCodec] = {}
-        self._by_cls: Dict[Type, StructCodec] = {}
+        self.by_name: Dict[str, StructCodec] = {}
+        self.by_cls: Dict[Type, StructCodec] = {}
 
     def register(
         self,
@@ -106,29 +125,26 @@ class StructRegistry:
         struct_name = name if name is not None else cls.__qualname__
         codec = StructCodec(struct_name, cls, list(fields), factory)
         with self._lock:
-            existing = self._by_name.get(struct_name)
+            existing = self.by_name.get(struct_name)
             if existing is not None and existing.cls is not cls:
                 raise ValueError(
                     f"struct name {struct_name!r} already registered "
                     f"for {existing.cls!r}"
                 )
-            self._by_name[struct_name] = codec
-            self._by_cls[cls] = codec
+            self.by_name[struct_name] = codec
+            self.by_cls[cls] = codec
         return cls
 
-    def codec_for_instance(self, obj: object) -> Optional[StructCodec]:
-        return self._by_cls.get(type(obj))
-
     def codec_for_name(self, name: str) -> StructCodec:
-        codec = self._by_name.get(name)
+        codec = self.by_name.get(name)
         if codec is None:
             raise UnmarshalError(f"unknown struct type {name!r}")
         return codec
 
     def clear(self) -> None:
         with self._lock:
-            self._by_name.clear()
-            self._by_cls.clear()
+            self.by_name.clear()
+            self.by_cls.clear()
 
 
 #: The default registry used by spaces unless told otherwise.

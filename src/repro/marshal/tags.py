@@ -38,3 +38,20 @@ _NAMES = {
 def tag_name(tag: int) -> str:
     """Human-readable name of a pickle tag (diagnostics)."""
     return _NAMES.get(tag, f"0x{tag:02x}")
+
+
+# -- limits of the format (not tags: defined after the name table) ------------
+
+#: Maximum container-nesting depth.  Deeper graphs raise MarshalError /
+#: UnmarshalError instead of exhausting the interpreter stack — which
+#: matters twice over for the unpickler, whose input is remote data.
+#: Both walkers spend one Python frame per level, so 256 stays well
+#: under the default interpreter recursion limit.
+MAX_DEPTH = 256
+
+#: Strings/bytes longer than this skip by-value memoization: hashing a
+#: large payload for the memo table costs more than re-encoding ever
+#: saves, and bulk payloads are rarely repeated within one message.
+#: (A memo id is still *burned* for them so the decoder, which assigns
+#: ids positionally, stays in lockstep.)
+MEMO_VALUE_LIMIT = 4096

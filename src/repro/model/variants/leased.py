@@ -239,7 +239,7 @@ def _fire(config: LeasedConfiguration, kind, params) -> LeasedConfiguration:
             ),
         )
     if kind == "deliver_clean":
-        # handle_clean + the lease_retire hook: departure from the
+        # handle_clean + the retire_holder hook: departure from the
         # dirty set retires every lease the client held.
         (proc,) = params
         return replace(
@@ -251,7 +251,7 @@ def _fire(config: LeasedConfiguration, kind, params) -> LeasedConfiguration:
     if kind == "crash":
         # Pinger purge: the client vanishes mid-lease — every frame to
         # or from it dies with its connection, its dirty-set entry and
-        # leases are purged (purge_client + lease_retire).
+        # leases are purged (purge_client + retire_holder).
         (proc,) = params
         return replace(
             config,

@@ -149,12 +149,20 @@ class Connection:
         # v5 method-id interning tables (see PROTOCOL.md, "Protocol
         # version 5").  Each direction allocates its own ids, exactly
         # like call ids, so the two never collide.
-        #: Our outbound bindings: ``(wirerep, method)`` -> method id the
-        #: peer has *confirmed* (the CALL_BIND frame reached the wire).
+        # A binding lives as long as the reference it was made through:
+        # the client drops it when it sends the surrogate's clean call,
+        # the owner when the client leaves the object's dirty set.
+        #: Our outbound bindings: wirerep -> {method: method id the
+        #: peer has *confirmed* (the CALL_BIND frame reached the wire)}.
         self.method_ids: dict = {}
         #: The peer's bindings: method id -> whatever the owning
-        #: space's request handler registered at CALL_BIND time.
+        #: space's request handler registered at CALL_BIND time;
+        #: ``bound_targets`` lists the ids per object index, and
+        #: ``bound_high`` is the largest id ever bound (an unknown id
+        #: at or below it was evicted, not never announced).
         self.bound_methods: dict = {}
+        self.bound_targets: dict = {}
+        self.bound_high = 0
         self._method_ids = itertools.count(1)
         #: Reactor shard index this connection's frames arrive on; set
         #: at registration, routes request dispatch to that shard's
@@ -794,6 +802,7 @@ class Connection:
         # whenever the Connection itself is collected.
         self.method_ids.clear()
         self.bound_methods.clear()
+        self.bound_targets.clear()
         self.streams.fail_all(failure)
         with self._pending_lock:
             pending = list(self._pending.values())

@@ -14,21 +14,12 @@ from repro.errors import UnmarshalError
 
 def write_uvarint(out: bytearray, value: int) -> None:
     """Append ``value`` (a non-negative int) to ``out`` as a varint."""
-    if 0 <= value < 0x80:
-        # Lengths, counts and memo ids are almost always < 128; this
-        # single-byte path dominates the encode hot loop.
-        out.append(value)
-        return
     if value < 0:
         raise ValueError(f"uvarint cannot encode negative value {value}")
-    while True:
-        byte = value & 0x7F
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+    out.append(value)
 
 
 def read_uvarint(data, offset: int) -> Tuple[int, int]:
@@ -42,22 +33,20 @@ def read_uvarint(data, offset: int) -> Tuple[int, int]:
     arise from :func:`write_uvarint` for values below 2**70 and guards
     against maliciously long encodings).
     """
-    if offset >= len(data):
-        raise UnmarshalError("truncated varint")
-    byte = data[offset]
-    if not byte & 0x80:
-        return byte, offset + 1
-    result = 0
-    shift = 0
-    start = offset
-    while True:
-        if offset >= len(data):
-            raise UnmarshalError("truncated varint")
-        if offset - start >= 10:
-            raise UnmarshalError("varint too long")
+    try:
         byte = data[offset]
-        offset += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, offset
-        shift += 7
+        if byte < 0x80:
+            return byte, offset + 1
+        result = byte & 0x7F
+        shift = 7
+        while True:
+            offset += 1
+            byte = data[offset]
+            if byte < 0x80:
+                return result | byte << shift, offset + 1
+            result |= (byte & 0x7F) << shift
+            shift += 7
+            if shift > 63:
+                raise UnmarshalError("varint too long")
+    except IndexError:
+        raise UnmarshalError("truncated varint") from None

@@ -178,7 +178,8 @@ class TestFastLaneRuntime:
             assert client.methods_bound == bound_after_import + 1
             assert client.fastlane_calls >= 19
             connection = client.cache.get(endpoint)
-            assert any(m == "nothing" for (_rep, m) in connection.method_ids)
+            assert any("nothing" in methods
+                       for methods in connection.method_ids.values())
 
     def test_scalar_args_and_results_roundtrip(self):
         server, client, endpoint = _pair("scalar")
@@ -299,6 +300,90 @@ class TestFastLaneRuntime:
             assert wait_until(
                 lambda: server.stats()["gc"]["exported"] == exported0
             )
+
+    def test_bindings_are_evicted_with_the_reference(self):
+        """netbench finding 3: a binding lives as long as the reference
+        it was made through, on both sides — not as long as the
+        connection."""
+        server, client, endpoint = _pair("churn")
+        with server, client:
+            server.serve("f", TokenFactory())
+            factory = client.import_object(endpoint, "f")
+            token = factory.make()
+            assert token.ping() == "pong"
+            del token
+            pygc.collect()
+            assert client.cleanup_daemon.wait_idle(10)
+            outbound = client.cache.get(endpoint)
+            inbound = server.connection_to(client.space_id)
+            exported = server.stats()["gc"]["exported"]
+
+            def sizes():
+                return (len(outbound.method_ids), len(inbound.bound_methods),
+                        len(inbound.bound_targets))
+
+            assert wait_until(lambda: sizes() == (1, 1, 1))  # factory.make
+            for _ in range(2000):
+                token = factory.make()
+                assert token.ping() == "pong"
+                assert token.ping() == "pong"
+                del token
+            pygc.collect()
+            assert client.cleanup_daemon.wait_idle(30)
+            assert wait_until(
+                lambda: server.stats()["gc"]["exported"] == exported, 30)
+            assert wait_until(lambda: sizes() == (1, 1, 1), 30), sizes()
+
+    def test_call_through_an_evicted_binding_is_no_such_object(self):
+        from repro import NoSuchObjectError
+
+        server, client, endpoint = _pair("evicted")
+        with server, client:
+            server.serve("f", TokenFactory())
+            factory = client.import_object(endpoint, "f")
+            token = factory.make()
+            assert token.ping() == "pong"
+            outbound = client.cache.get(endpoint)
+            stale_id = outbound.method_ids[token._wirerep]["ping"]
+            del token
+            pygc.collect()
+            assert client.cleanup_daemon.wait_idle(10)
+            inbound = server.connection_to(client.space_id)
+            assert wait_until(lambda: stale_id not in inbound.bound_methods)
+            # A bound call naming the evicted id: the object is gone,
+            # which is what the fault must say.
+            call_id = outbound.next_call_id()
+            reply = outbound.call(
+                messages.FastCall(call_id, stale_id, b"\x00"), timeout=10)
+            assert isinstance(reply, messages.Fault)
+            assert reply.kind == NoSuchObjectError.__name__
+            # ... while an id that was never announced is a protocol slip.
+            reply = outbound.call(messages.FastCall(
+                outbound.next_call_id(), 10 ** 6, b"\x00"), timeout=10)
+            assert reply.kind == "NoSuchMethodError"
+
+    def test_reimport_of_a_live_object_rebinds(self):
+        server, client, endpoint = _pair("rebind")
+        with server, client:
+            server.serve("e", FastEcho())
+            outbound = None
+            for round_ in range(3):
+                e = client.import_object(endpoint, "e")
+                assert e.add(round_, 1) == round_ + 1   # CALL_BIND
+                assert e.add(round_, 2) == round_ + 2   # CALL_FAST
+                outbound = client.cache.get(endpoint)
+                assert "add" in outbound.method_ids[e._wirerep]
+                wirerep = e._wirerep
+                del e
+                pygc.collect()
+                assert client.cleanup_daemon.wait_idle(10)
+                assert wirerep not in outbound.method_ids
+            inbound = server.connection_to(client.space_id)
+            # Each round's bindings went with its clean call: the
+            # served object is still exported, its bindings are not.
+            assert wait_until(lambda: all(
+                binding.method != "add"
+                for binding in list(inbound.bound_methods.values())))
 
 
 class TestVersionInterop:

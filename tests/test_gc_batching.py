@@ -2,7 +2,10 @@
 resurrected entries, and the pipelined dirty prefetch."""
 
 import gc
+from dataclasses import dataclass
 from types import SimpleNamespace
+
+import pytest
 
 import repro
 from repro.core.netobj import NetObj
@@ -12,12 +15,34 @@ from repro.dgc.daemon import CleanupDaemon
 from tests.helpers import settle, wait_until
 
 
+@repro.register_struct(name="gcbatch.Crate")
+@dataclass
+class Crate:
+    """A registered struct that carries references."""
+    label: str
+    top: object
+    rest: list
+
+
 class Factory(NetObj):
     """Mints fresh network objects so a single reply carries many
     references (exercising both prefetch and batched cleans)."""
 
     def make(self, count: int):
         return [Token() for _ in range(count)]
+
+    def make_crated(self, count: int):
+        """One fresh reference, then ``count - 1`` more inside a struct
+        (and inside a list inside that struct)."""
+        return [Token(), Crate("c", Token(),
+                               [Token() for _ in range(count - 2)])]
+
+    def make_after(self, known, count: int):
+        """A reference the caller already holds, then fresh ones."""
+        return (known, [Token() for _ in range(count)])
+
+    def echo(self, value):
+        return value
 
 
 class Token(NetObj):
@@ -177,3 +202,108 @@ class TestDirtyPrefetch:
             assert after - before == 25
             assert [t.ping() for t in tokens] == ["pong"] * 25
             assert client.stats()["gc"]["ref_entries"] >= 25
+
+
+class _Probe:
+    """Counts structural scans (process-wide) and the dirty calls
+    ``space`` sent as futures."""
+
+    def __init__(self, monkeypatch, space):
+        from repro.marshal import unpickler
+
+        self.scans = 0
+        self.async_dirties = 0
+        real_scan = unpickler.scan_netobj_payloads
+        real_async = space._gc_dirty_async
+
+        def scan(data, offset=0):
+            self.scans += 1
+            return real_scan(data, offset)
+
+        def dirty_async(*args):
+            self.async_dirties += 1
+            return real_async(*args)
+
+        monkeypatch.setattr(unpickler, "scan_netobj_payloads", scan)
+        monkeypatch.setattr(space, "_gc_dirty_async", dirty_async)
+
+
+class TestLazyPrescan:
+    """The scan for references runs when the decoder meets one that
+    needs a dirty call — never up front, never for a pickle without."""
+
+    def test_reference_free_pickles_are_never_scanned(self, request,
+                                                      monkeypatch):
+        server, client, endpoint = _pair(request.node.name)
+        with server, client:
+            factory = client.import_object(endpoint, "factory")
+            probe = _Probe(monkeypatch, client)  # scans: both spaces'
+            payload = {"rows": [("name-%d" % i, i, b"x" * 40)
+                                for i in range(50)]}
+            for _ in range(5):
+                assert factory.echo(payload) == payload
+            assert probe.scans == 0
+            token = factory.make(1)[0]
+            assert probe.scans == 1  # the fresh token; nothing follows it
+            # A reference its receiver already knows costs no scan:
+            # the owner gets its own object back, the client its token.
+            assert factory.echo([token, payload])[0] is token
+            assert probe.scans == 1
+
+    @pytest.mark.parametrize("count", [3, 12])
+    def test_references_nested_in_a_struct_are_pipelined(
+            self, request, monkeypatch, count):
+        server, client, endpoint = _pair(request.node.name)
+        with server, client:
+            factory = client.import_object(endpoint, "factory")
+            probe = _Probe(monkeypatch, client)
+            before = client.stats()["gc"]["dirty_calls_sent"]
+            first, crate = factory.make_crated(count)
+            tokens = [first, crate.top, *crate.rest]
+            assert len(tokens) == count
+            # One scan, at the first reference; everything after it
+            # went out as futures ahead of the one synchronous dirty.
+            assert probe.scans == 1
+            assert probe.async_dirties == count - 1
+            assert client.stats()["gc"]["dirty_calls_sent"] - before == count
+            assert [t.ping() for t in tokens] == ["pong"] * count
+
+    def test_known_first_reference_then_fresh_ones(self, request,
+                                                   monkeypatch):
+        server, client, endpoint = _pair(request.node.name)
+        with server, client:
+            factory = client.import_object(endpoint, "factory")
+            known = factory.make(1)[0]
+            probe = _Probe(monkeypatch, client)
+            before = client.stats()["gc"]["dirty_calls_sent"]
+            same, fresh = factory.make_after(known, 4)
+            assert same is known
+            # The known reference needed no dirty call, so the scan
+            # started at the first fresh one and covered the other 3.
+            assert probe.scans == 1
+            assert probe.async_dirties == 3
+            assert client.stats()["gc"]["dirty_calls_sent"] - before == 4
+            assert [t.ping() for t in fresh] == ["pong"] * 4
+
+    def test_corrupt_tail_defeats_the_scan_not_the_error(self, request,
+                                                          monkeypatch):
+        from repro.errors import UnmarshalError
+        from repro.rpc import messages
+
+        server, client, endpoint = _pair(request.node.name)
+        with server, client:
+            client.import_object(endpoint, "factory")
+            outbound = client.cache.get(endpoint)
+            inbound = server.connection_to(client.space_id)
+            pickler = server._marshal.acquire_pickler(
+                server._codec_ctx(inbound))
+            pickle = pickler.dumps([Token(), Token(), Token()])
+            probe = _Probe(monkeypatch, client)
+            with pytest.raises(UnmarshalError):
+                client._decode_reply(
+                    outbound, messages.Result(1, pickle[:-5] + b"\xfe" * 5))
+            # The scan ran (the first reference was fresh), found the
+            # tail malformed and prefetched nothing; the sequential
+            # decode then reported the corruption.
+            assert probe.scans == 1
+            assert probe.async_dirties == 0

@@ -314,7 +314,7 @@ class FakeHandler:
         self.marshal_count += 1
         return value.name.encode("utf-8")
 
-    def unmarshal(self, payload):
+    def unmarshal(self, payload, following):
         self.unmarshal_count += 1
         return FakeRef(payload.decode("utf-8"))
 
@@ -460,3 +460,274 @@ class TestCanonicalPickles:
 
         assert dumps(None) == NONE_PICKLE
         assert loads(NONE_PICKLE) is None
+
+
+# -- the golden corpus: the wire format, pinned byte for byte -------------------
+
+from tests import marshal_corpus as mc  # noqa: E402 - keeps the corpus tests together
+
+_GOLDEN = mc.golden()
+_NAMES = [name for name, _value in mc.corpus()]
+
+
+def _corpus_value(name):
+    return dict(mc.corpus())[name]
+
+
+class TestGoldenCorpus:
+    """``marshal_golden.json`` was generated once, by the pickler as it
+    stood before the walkers were rewritten (protocol v7).  Encoding
+    must reproduce it and decoding must accept it: old and new peers
+    interoperate by construction."""
+
+    def test_corpus_and_golden_file_agree(self):
+        assert sorted(_NAMES) == sorted(_GOLDEN)
+
+    def test_corpus_uses_every_tag(self, monkeypatch):
+        from repro.marshal import tags, unpickler
+
+        seen = set()
+
+        def recording(tag, decode):
+            def wrapper(*args):
+                seen.add(tag)
+                return decode(*args)
+            return wrapper
+
+        monkeypatch.setattr(unpickler, "_DECODERS", [
+            recording(tag, decode)
+            for tag, decode in enumerate(unpickler._DECODERS)
+        ])
+        decoder = Unpickler(mc.registry(), mc.RefHandler())
+        for name in _NAMES:
+            decoder.loads(bytes.fromhex(_GOLDEN[name]))
+        assert seen == set(range(tags.NONE, tags.NETOBJ + 1))
+
+    @pytest.mark.parametrize("name", _NAMES)
+    def test_encode_is_byte_identical(self, name):
+        pickler = Pickler(mc.registry(), mc.RefHandler())
+        assert pickler.dumps(_corpus_value(name)).hex() == _GOLDEN[name]
+        # ... and again from the same (pooled) instance, into a buffer.
+        out = bytearray(b"envelope")
+        pickler.dump_into(_corpus_value(name), out)
+        assert out[8:].hex() == _GOLDEN[name]
+
+    @pytest.mark.parametrize("name", _NAMES)
+    @pytest.mark.parametrize("view", [bytes, memoryview])
+    def test_decode_rebuilds_the_graph(self, name, view):
+        data = view(bytes.fromhex(_GOLDEN[name]))
+        decoded = Unpickler(mc.registry(), mc.RefHandler()).loads(data)
+        assert mc.shape(decoded) == mc.shape(_corpus_value(name))
+
+    @pytest.mark.parametrize("name", _NAMES)
+    def test_every_proper_prefix_is_rejected(self, name):
+        """Truncation is always UnmarshalError — never IndexError,
+        struct.error or RecursionError leaking from a decoder."""
+        data = bytes.fromhex(_GOLDEN[name])
+        cuts = range(len(data))
+        if len(data) > 8192:
+            # The 34 KB batch: both ends in full, the middle sampled.
+            cuts = [*range(600), *range(600, len(data) - 600, 61),
+                    *range(len(data) - 600, len(data))]
+        decoder = Unpickler(mc.registry(), mc.RefHandler())
+        for cut in cuts:
+            with pytest.raises(UnmarshalError):
+                decoder.loads(data[:cut])
+            with pytest.raises(UnmarshalError):
+                decoder.loads(memoryview(data)[:cut])
+
+    def test_scan_finds_the_references_from_any_boundary(self):
+        from repro.marshal.unpickler import scan_netobj_payloads
+
+        data = bytes.fromhex(_GOLDEN["netobj"])
+        names = [bytes(p) for p in scan_netobj_payloads(data)]
+        assert names == [b"alpha", b"beta", b"gamma"]
+        # Resuming right after the first reference's payload sees the
+        # rest — the walk needs no knowledge of the nesting around it.
+        after_alpha = data.index(b"alpha") + len(b"alpha")
+        assert [bytes(p) for p in scan_netobj_payloads(data, after_alpha)] \
+            == [b"beta", b"gamma"]
+        for name in _NAMES:
+            if name != "netobj":
+                assert scan_netobj_payloads(bytes.fromhex(_GOLDEN[name])) == []
+        assert scan_netobj_payloads(data[:-3]) == []         # corrupt tail
+        assert scan_netobj_payloads(data + b"\xfe") == []    # unknown tag
+
+
+class TestDepthLimitIsExact:
+    """MAX_DEPTH containers may nest; one more is refused on both
+    sides, and the refusal leaves the codec reusable."""
+
+    @staticmethod
+    def _nested(levels, leaf):
+        value = leaf
+        for _ in range(levels):
+            value = [value]
+        return value
+
+    def test_max_depth_round_trips_and_one_more_raises(self):
+        from repro.marshal.pickler import MAX_DEPTH
+
+        pickler, unpickler = Pickler(), Unpickler()
+        deepest = self._nested(MAX_DEPTH, "leaf")
+        data = pickler.dumps(deepest)
+        assert unpickler.loads(data) == deepest
+        with pytest.raises(MarshalError):
+            pickler.dumps(self._nested(MAX_DEPTH + 1, "leaf"))
+        assert pickler.dumps(deepest) == data  # no reset() needed
+
+    def test_unpickler_refuses_one_level_more(self):
+        from repro.marshal import tags
+        from repro.marshal.pickler import MAX_DEPTH
+
+        def nested(levels):
+            return bytes([tags.LIST, 1]) * levels + bytes([tags.NONE])
+
+        unpickler = Unpickler()
+        assert unpickler.loads(nested(MAX_DEPTH)) == self._nested(MAX_DEPTH, None)
+        with pytest.raises(UnmarshalError):
+            unpickler.loads(nested(MAX_DEPTH + 1))
+        assert unpickler.loads(nested(3)) == [[[None]]]
+
+    def test_structs_count_as_levels(self):
+        from repro.marshal.pickler import MAX_DEPTH
+
+        registry = StructRegistry()
+        registry.register(Plain, fields=["a", "b"])
+
+        def chain(levels):
+            value = None
+            for _ in range(levels):
+                value = Plain(value, 0)
+            return value
+
+        data = dumps(chain(MAX_DEPTH), registry)
+        assert loads(data, registry) == chain(MAX_DEPTH)
+        with pytest.raises(MarshalError):
+            dumps(chain(MAX_DEPTH + 1), registry)
+
+
+class TestStructPlans:
+    """Plans are built at registration and die with it."""
+
+    def test_clear_drops_the_plans(self):
+        registry = StructRegistry()
+        registry.register(Plain, fields=["a", "b"])
+        pickler, unpickler = Pickler(registry), Unpickler(registry)
+        data = pickler.dumps(Plain(1, 2))
+        assert unpickler.loads(data) == Plain(1, 2)
+        registry.clear()
+        with pytest.raises(MarshalError):
+            pickler.dumps(Plain(1, 2))
+        with pytest.raises(UnmarshalError):
+            unpickler.loads(data)
+
+    def test_reregistering_a_name_replaces_the_plans(self):
+        registry = StructRegistry()
+        registry.register(Plain, fields=["a", "b"])
+        pickler, unpickler = Pickler(registry), Unpickler(registry)
+        two_fields = pickler.dumps(Plain(1, 2))
+        registry.register(Plain, fields=["b"])
+        one_field = pickler.dumps(Plain(1, 2))
+        assert len(one_field) < len(two_fields)
+        assert vars(unpickler.loads(one_field)) == {"b": 2}
+        with pytest.raises(UnmarshalError):   # arity of the old plan
+            unpickler.loads(two_fields)
+
+    def test_missing_field_is_a_marshal_error(self):
+        registry = StructRegistry()
+        registry.register(Plain, fields=["a", "b"])
+        broken = Plain(1, 2)
+        del broken.b
+        pickler = Pickler(registry)
+        with pytest.raises(MarshalError, match="missing field"):
+            pickler.dumps(broken)
+        assert loads(pickler.dumps(Plain(1, 2)), registry) == Plain(1, 2)
+
+    def test_property_and_slot_fields_go_through_their_descriptors(self):
+        class Guarded:
+            __slots__ = ("_level", "tag")
+
+            @property
+            def level(self):
+                return self._level
+
+            @level.setter
+            def level(self, value):
+                self._level = max(0, value)
+
+        registry = StructRegistry()
+        registry.register(Guarded, fields=["level", "tag"])
+        original = Guarded()
+        original._level, original.tag = -5, "t"
+        copy = round_trip(original, registry)
+        assert (copy.level, copy.tag) == (0, "t")  # the setter ran
+
+    def test_handler_outranks_the_registry(self):
+        """A registered class the handler also recognises crosses by
+        reference — and a subclass of a registered struct is not
+        registered (exact-type match)."""
+        registry = StructRegistry()
+        registry.register(FakeRef, fields=["name"])
+        registry.register(Plain, fields=["a", "b"])
+        handler = FakeHandler()
+        result = round_trip([FakeRef("r"), Plain(FakeRef("s"), 1)],
+                            registry, handler)
+        assert handler.marshal_count == 2
+        assert result[1].a.name == "s"
+        # Without a handler the same class is an ordinary struct.
+        assert round_trip(FakeRef("t"), registry).name == "t"
+
+        class SubPlain(Plain):
+            pass
+
+        with pytest.raises(MarshalError, match="unregistered"):
+            dumps(SubPlain(1, 2), registry, handler)
+
+    def test_registering_while_another_thread_pickles(self):
+        """The walkers read the registry without its lock; a writer
+        must never make them crash or mis-encode."""
+        import sys
+        import threading
+        import time
+
+        registry = StructRegistry()
+        registry.register(Plain, fields=["a", "b"])
+        value = [Plain(i, [Plain("x", None)]) for i in range(50)]
+        expected = dumps(value, registry)
+        stop = threading.Event()
+        failures = []
+
+        def churn():
+            extra = [type(f"Extra{i}", (), {}) for i in range(200)]
+            while not stop.is_set():
+                for cls in extra:
+                    registry.register(cls, fields=[])
+                registry.register(Plain, fields=["a", "b"])
+
+        def pickle_loop():
+            pickler, unpickler = Pickler(registry), Unpickler(registry)
+            try:
+                while not stop.is_set():
+                    data = pickler.dumps(value)
+                    if data != expected or unpickler.loads(data) != value:
+                        failures.append("mis-encoded")
+                        return
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(repr(exc))
+
+        threads = [threading.Thread(target=churn),
+                   *(threading.Thread(target=pickle_loop) for _ in range(3))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.5)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(10)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []

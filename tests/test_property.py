@@ -13,15 +13,22 @@ Four target families:
 """
 
 import math
+import struct
+from dataclasses import dataclass
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.marshal import dumps, loads
+from repro.errors import UnmarshalError
+from repro.marshal import StructRegistry, dumps, loads, tags
+from repro.marshal.pickler import MEMO_VALUE_LIMIT
+from repro.marshal.unpickler import scan_netobj_payloads
 from repro.model import Machine, initial_configuration, termination_measure
 from repro.model.invariants import all_violations
 from repro.model.scenario import run_events
 from repro.model.variants import all_models
 from repro.wire.varint import read_uvarint, write_uvarint
+from tests.marshal_corpus import FakeRef, RefHandler
 
 # -- strategies -----------------------------------------------------------------
 
@@ -96,6 +103,193 @@ class TestPickleProperties:
             loads(data)
         except UnmarshalError:
             pass  # rejection is the contract; crashing is not
+
+
+# -- the pickle format against a reference encoder ------------------------------
+
+@dataclass
+class Leaf:
+    label: str
+    weight: float
+
+
+@dataclass
+class Pair:
+    left: object
+    right: object
+
+
+_STRUCTS = StructRegistry()
+_STRUCTS.register(Leaf)
+_STRUCTS.register(Pair, name="geometry.Pair")
+
+
+def reference_dumps(value) -> bytes:
+    """The pickle format written down for clarity, not speed: one
+    recursive function straight from PROTOCOL.md.  The production
+    walkers must emit exactly these bytes."""
+    out = bytearray()
+    by_id, by_value, kept = {}, {}, []
+    next_id = [0]
+
+    def memoize(table, key):
+        """True (and a REF written) when ``key`` was seen before."""
+        if key in table:
+            out.append(tags.REF)
+            write_uvarint(out, table[key])
+            return True
+        table[key] = next_id[0]
+        next_id[0] += 1
+        return False
+
+    def sized(tag, raw):
+        out.append(tag)
+        write_uvarint(out, len(raw))
+        out.extend(raw)
+
+    def walk(v):
+        kind = type(v)
+        if v is None or kind is bool:
+            out.append({None: tags.NONE, True: tags.TRUE, False: tags.FALSE}[v])
+        elif kind is int and 0 <= v < 2 ** 63:
+            out.append(tags.INT_POS)
+            write_uvarint(out, v)
+        elif kind is int and -(2 ** 63) <= v < 0:
+            out.append(tags.INT_NEG)
+            write_uvarint(out, -1 - v)
+        elif kind is int:
+            sized(tags.INT_BIG,
+                  v.to_bytes((v.bit_length() + 8) // 8, "little", signed=True))
+        elif kind is float:
+            out.append(tags.FLOAT)
+            out.extend(struct.pack("!d", v))
+        elif kind in (str, bytes):
+            if len(v) > MEMO_VALUE_LIMIT:
+                next_id[0] += 1  # too big to hash: the id is burned
+            elif memoize(by_value, (kind, v)):
+                return
+            if kind is str:
+                sized(tags.STR, v.encode("utf-8"))
+            else:
+                sized(tags.BYTES, v)
+        else:
+            kept.append(v)
+            if memoize(by_id, id(v)):
+                return
+            if kind is bytearray:
+                sized(tags.BYTEARRAY, v)
+            elif kind is dict:
+                out.append(tags.DICT)
+                write_uvarint(out, len(v))
+                for key, item in v.items():
+                    walk(key)
+                    walk(item)
+            elif kind in _SEQUENCE_TAGS:
+                out.append(_SEQUENCE_TAGS[kind])
+                write_uvarint(out, len(v))
+                for item in v:
+                    walk(item)
+            else:
+                codec = _STRUCTS.by_cls[kind]
+                out.append(tags.STRUCT)
+                walk(codec.name)
+                write_uvarint(out, len(codec.fields))
+                for field in codec.fields:
+                    walk(getattr(v, field))
+
+    walk(value)
+    return bytes(out)
+
+
+_SEQUENCE_TAGS = {list: tags.LIST, tuple: tags.TUPLE, set: tags.SET,
+                  frozenset: tags.FROZENSET}
+
+graph_scalars = st.one_of(
+    scalars,
+    st.floats(allow_nan=True),
+    st.text(min_size=MEMO_VALUE_LIMIT - 1, max_size=MEMO_VALUE_LIMIT + 1),
+    st.sampled_from(["Leaf", "geometry.Pair", "dup", b"dup"]),
+    st.builds(bytearray, st.binary(max_size=8)),
+)
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.tuples(children, children),
+        st.dictionaries(st.text(max_size=4), children, max_size=3),
+        st.builds(Leaf, st.text(max_size=6), st.floats(allow_nan=False)),
+        st.builds(Pair, children, children),
+        # the same object in several places, some of them nested
+        children.map(lambda v: [v, (v, [v])]),
+    )
+
+
+graphs = st.recursive(graph_scalars, _containers, max_leaves=20)
+graphs_with_refs = st.recursive(
+    st.one_of(graph_scalars, st.builds(FakeRef, st.text(max_size=4))),
+    _containers, max_leaves=20,
+)
+
+
+class RecordingHandler(RefHandler):
+    """Notes each reference payload, and what the scan resumed after
+    reference number ``ask_at`` reports as still to come."""
+
+    def __init__(self, ask_at=None):
+        self.ask_at = ask_at
+        self.seen = []
+        self.following = None
+
+    def unmarshal(self, payload, following):
+        if len(self.seen) == self.ask_at:
+            self.following = [bytes(p) for p in following()]
+        self.seen.append(bytes(payload))
+        return super().unmarshal(payload, following)
+
+
+class TestPickleFormatProperties:
+    @given(graphs)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    def test_bytes_match_the_reference_encoder(self, value):
+        data = dumps(value, _STRUCTS)
+        assert data == reference_dumps(value)
+        assert reference_dumps(loads(data, _STRUCTS)) == data
+
+    @given(graphs)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    def test_every_proper_prefix_is_unmarshal_error(self, value):
+        data = dumps(value, _STRUCTS)
+        cuts = range(len(data)) if len(data) < 600 else \
+            [*range(300), *range(len(data) - 300, len(data))]
+        for cut in cuts:
+            with pytest.raises(UnmarshalError):
+                loads(data[:cut], _STRUCTS)
+
+    @given(graphs_with_refs)
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    def test_scan_agrees_with_decode_from_every_reference(self, value):
+        """The flat scan sees exactly the references the decoder meets,
+        in order — from the start and resumed after any one of them."""
+        handler = RecordingHandler()
+        data = dumps(value, _STRUCTS, handler)
+        loads(data, _STRUCTS, handler)
+        payloads = handler.seen
+        assert [bytes(p) for p in scan_netobj_payloads(data)] == payloads
+        for index in range(len(payloads)):
+            asking = RecordingHandler(ask_at=index)
+            loads(data, _STRUCTS, asking)
+            assert asking.following == payloads[index + 1:]
+
+    @given(st.binary(max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_scan_of_arbitrary_bytes_never_raises(self, data):
+        assert isinstance(scan_netobj_payloads(data), list)
 
 
 class TestVarintProperties:

@@ -8,8 +8,21 @@ from repro import (
     RemoteError,
     Space,
     Surrogate,
+    register_struct,
 )
 from tests.helpers import Bank, BankImpl, Counter, Echo, Registry
+
+
+@register_struct(fields=["n"], name="tests.RegisteredCounter")
+class RegisteredCounter(Counter):
+    """A network object that is *also* a registered struct."""
+
+
+@register_struct(fields=["label", "counter"], name="tests.Receipt")
+class Receipt:
+    def __init__(self, label=None, counter=None):
+        self.label = label
+        self.counter = counter
 
 
 @pytest.fixture(params=["inproc", "tcp"])
@@ -173,6 +186,23 @@ class TestReferencePassing:
         # The surrogate narrows to the most derived *registered* type,
         # which in-process is BankImpl itself, audit() included.
         assert bank.audit() == {"alice": 10}
+
+    def test_registered_struct_that_is_a_netobj_crosses_by_reference(
+            self, spaces):
+        """The netobj handler outranks the struct registry: a class
+        that is both still marshals by wireRep, never by value — here
+        next to an ordinary struct and inside one."""
+        server, client = spaces
+        tally = RegisteredCounter(41)
+        registry = Registry()
+        registry.held.append([tally, Receipt("r", tally)])
+        server.serve("registry", registry)
+        remote_registry = client.import_object(server.endpoints[0], "registry")
+        remote_tally, receipt = remote_registry.fetch(0)
+        assert isinstance(remote_tally, Surrogate)
+        assert type(receipt) is Receipt and receipt.counter is remote_tally
+        assert remote_tally.increment() == 42
+        assert tally.n == 42  # the owner's object, not a copy
 
     def test_same_space_import_returns_local_object(self, spaces):
         server, _client = spaces
