@@ -217,6 +217,60 @@ class TestExhaustiveSafety:
         report("E5 model check", f"leased {label}: {result.summary()}")
 
     @pytest.mark.benchmark(group="E5-model-check")
+    def test_leased_holder_write(self, benchmark, report):
+        """Release-before-write: a holder that writes drops its replica
+        and sends its release ahead of the write, over unordered
+        channels — so the release may also arrive after the write and
+        the owner invalidates the writer like any other holder.  All
+        four lease invariants hold either way."""
+        from repro.model.variants import (
+            LeasedMachine,
+            initial_leased,
+            leased_violations,
+        )
+
+        result = benchmark.pedantic(
+            explore,
+            args=(initial_leased(nprocs=3, grants_left=2, writes_left=2),),
+            kwargs={"machine": LeasedMachine(),
+                    "checker": leased_violations, "keep_traces": False},
+            rounds=1, iterations=1,
+        )
+        assert result.ok
+        assert result.rule_counts["holder_write"] > 0
+        assert result.rule_counts["deliver_write"] > 0
+        report("E5 model check",
+               f"leased, holder writes 3p-2g-2w: {result.summary()}")
+
+    @pytest.mark.benchmark(group="E5-model-check")
+    def test_leased_writer_trusted(self, benchmark, report):
+        """Negative control: an owner that skips the writer's lease on
+        trust, with the writer keeping its replica until the reply
+        arrives, lets that replica outlive the completed write — the
+        explorer reports the stale read."""
+        from repro.model.variants import (
+            LeasedMachine,
+            initial_leased,
+            leased_violations,
+        )
+
+        result = benchmark.pedantic(
+            explore,
+            args=(initial_leased(nprocs=2, grants_left=1, writes_left=1,
+                                 trust_writer=True),),
+            kwargs={"machine": LeasedMachine(),
+                    "checker": leased_violations, "keep_traces": True},
+            rounds=1, iterations=1,
+        )
+        assert not result.ok
+        violation = result.violations[0]
+        assert any(m.startswith("STALE-READ") for m in violation.messages)
+        report("E5 model check",
+               f"leased, writer trusted: stale read found after "
+               f"{result.states} states (trace length "
+               f"{len(violation.trace)})")
+
+    @pytest.mark.benchmark(group="E5-model-check")
     def test_leased_without_dead_ids(self, benchmark, report):
         """Negative control: forget the dead-id set (invalidations
         that overtake an in-flight grant) and the explorer finds the

@@ -316,9 +316,13 @@ class TestSmokeMulticore:
 class TestSmokeLeases:
     def test_read_lease_hit_rate_and_thread_hygiene(self, report):
         """Lease gate (E10 in miniature): a ``@reads`` method served
-        under a read lease must actually hit the replica, survive a
-        write invalidation, and leave no timer/helper threads behind —
-        the lease layer is advertised as thread-free."""
+        under a read lease must actually hit the replica, and leave no
+        timer/helper threads behind — the lease layer is advertised as
+        thread-free.  Counts, not timings: a holder's own write sends
+        one LEASE_RELEASE and draws no invalidation, while a second
+        holder receives exactly one."""
+        import gc
+
         from repro import NetObj, reads
 
         class Dial(NetObj):
@@ -337,19 +341,35 @@ class TestSmokeLeases:
         with Space("smoke-lease-owner", listen=["tcp://127.0.0.1:0"],
                    shm="off") as server:
             server.serve("dial", Dial())
-            with Space("smoke-lease-client", shm="off") as client:
+            releases = []
+            apply_release = server._apply_lease_release
+            server._apply_lease_release = lambda peer, message: (
+                releases.append(peer), apply_release(peer, message))
+            with Space("smoke-lease-client", shm="off") as client, \
+                    Space("smoke-lease-other", shm="off") as other:
                 dial = client.import_object(server.endpoints[0], "dial")
-                assert dial.read() == 0
+                watcher = other.import_object(server.endpoints[0], "dial")
+                assert dial.read() == 0 and watcher.read() == 0
                 for _ in range(SMOKE_CALLS):
                     assert dial.read() == 0
+                # The bootstrap agent leases go with their cleans.
+                gc.collect()
+                assert client.cleanup_daemon.wait_idle(10)
+                assert other.cleanup_daemon.wait_idle(10)
+                releases.clear()
+                sent_before = server.lease_stats()["invalidations_sent"]
                 assert dial.write() == 1
-                assert dial.read() == 1    # invalidated, re-leased
+                assert dial.read() == 1 and watcher.read() == 1
+                invalidations = (server.lease_stats()["invalidations_sent"]
+                                 - sent_before)
                 holder = client.lease_stats()
-                owner = server.lease_stats()
+                watched = other.lease_stats()
         hits = holder["lease_hits"]
         assert hits >= SMOKE_CALLS, holder
-        assert owner["leases_granted"] >= 1
-        assert owner["invalidations_sent"] >= 1
+        assert releases == [client.space_id]
+        assert invalidations == 1
+        assert holder["invalidations_received"] == 0
+        assert watched["invalidations_received"] == 1
         # No thread growth: leases ride the existing reactor and
         # dispatcher; expiry is lazy (checked on read), not timed.
         deadline = time.monotonic() + 5.0
@@ -358,9 +378,9 @@ class TestSmokeLeases:
             time.sleep(0.05)
         assert threading.active_count() <= threads_before
         report("smoke",
-               f"lease gate: {hits} replica hits, "
-               f"{owner['invalidations_sent']} invalidations, "
-               "no thread growth",
+               f"lease gate: {hits} replica hits, a holder's write: "
+               f"{len(releases)} release, {invalidations} invalidation "
+               "(to the other holder), no thread growth",
                smoke_lease_hits=hits)
 
 

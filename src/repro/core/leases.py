@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from repro.wire.ids import SpaceID
 from repro.wire.wirerep import WireRep
@@ -70,7 +70,8 @@ class LeaseTable:
     path pickles a snapshot under the lease lock (which may record
     reference copies, taking the owner lock), so the collector must
     never call in here while holding its own lock — DgcOwner retires
-    leases after releasing it.
+    leases after releasing it.  The frame-delivering thread takes the
+    lock too (LEASE_RELEASE), so it is never held across a network wait.
     """
 
     def __init__(self, max_ttl: float):
@@ -189,8 +190,8 @@ class HeldLease:
         self.version = version
 
 
-#: Bound on the remembered dead-lease ids (invalidations that raced
-#: grant registration).  Tiny: the race window is one in-flight grant.
+#: WireReps with dead ids beyond which those with no grant in flight
+#: are pruned.
 _DEAD_IDS_MAX = 256
 
 
@@ -202,14 +203,17 @@ class LeaseCache:
     and may overtake the requester thread that is still unpickling the
     grant's snapshot.  An invalidation for a lease we do not hold yet
     is therefore remembered by id, and :meth:`register` refuses a grant
-    whose id is already dead.
+    whose id is already dead.  Acquisition is single-flight per wireRep
+    and owner ids are monotone, so only ids newer than the last grant
+    processed can still register, and the next grant forgets them.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._held: Dict[WireRep, HeldLease] = {}
+        #: Newest grant id processed (registered or refused) per wireRep.
         self._last_ids: Dict[WireRep, int] = {}
-        self._dead_ids: Set[Tuple[WireRep, int]] = set()
+        self._dead_ids: Dict[WireRep, Set[int]] = {}
         self._acquiring: Set[WireRep] = set()
         self._no_lease: set = set()       # typecodes that cannot replicate
         self.lease_requests = 0
@@ -251,8 +255,7 @@ class LeaseCache:
         with self._lock:
             if self._last_ids.get(wirerep, 0) < lease_id:
                 self._last_ids[wirerep] = lease_id
-            if (wirerep, lease_id) in self._dead_ids:
-                self._dead_ids.discard((wirerep, lease_id))
+            if lease_id in self._dead_ids.pop(wirerep, ()):
                 return False
             held = self._held.get(wirerep)
             if held is not None and held.lease_id >= lease_id:
@@ -279,23 +282,37 @@ class LeaseCache:
 
     def invalidate(self, wirerep: WireRep, lease_id: int) -> None:
         """Owner-sent invalidation: drop the replica if we hold that
-        lease, else remember the id so a late grant registration dies."""
+        lease, else remember the id so a late grant registration dies
+        (unless the id's grant was already processed here)."""
         with self._lock:
             self.invalidations_received += 1
             held = self._held.get(wirerep)
             if held is not None and held.lease_id == lease_id:
                 del self._held[wirerep]
-                return
-            if len(self._dead_ids) >= _DEAD_IDS_MAX:
-                self._dead_ids.clear()
-            self._dead_ids.add((wirerep, lease_id))
+            elif lease_id > self._last_ids.get(wirerep, 0):
+                dead = self._dead_ids
+                if wirerep not in dead and len(dead) >= _DEAD_IDS_MAX:
+                    # Only a wireRep with a grant in flight can use its
+                    # ids; the rest outlived a forgotten reference.
+                    self._dead_ids = dead = {
+                        rep: ids for rep, ids in dead.items()
+                        if rep in self._acquiring
+                    }
+                dead.setdefault(wirerep, set()).add(lease_id)
 
     def drop(self, wirerep: WireRep) -> Optional[HeldLease]:
-        """Forget any held lease for ``wirerep`` (surrogate going away,
-        CLEAN about to be sent, connection lost).  Returns what was
-        held so the caller can send LEASE_RELEASE."""
+        """Stop serving the replica for ``wirerep``; returns what was
+        held so the caller can send LEASE_RELEASE.  Dead ids stay: an
+        acquisition may be in flight on another thread."""
+        with self._lock:
+            return self._held.pop(wirerep, None)
+
+    def forget(self, wirerep: WireRep) -> Optional[HeldLease]:
+        """:meth:`drop` for a reference about to be cleaned: all of
+        its state goes."""
         with self._lock:
             self._last_ids.pop(wirerep, None)
+            self._dead_ids.pop(wirerep, None)
             return self._held.pop(wirerep, None)
 
     def last_lease_id(self, wirerep: WireRep) -> Optional[int]:

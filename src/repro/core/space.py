@@ -26,7 +26,7 @@ import weakref
 from types import FunctionType
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.leases import LeaseCache, LeaseTable
+from repro.core.leases import HeldLease, LeaseCache, LeaseTable
 from repro.core.marshalctx import MarshalContext, decode_ref
 from repro.core.netobj import (
     NetObj, quick_method_set, reads_method_set, remote_method_set,
@@ -556,7 +556,7 @@ class Space:
 
     def _invoke_remote(self, wirerep: WireRep, endpoints: Sequence[str],
                        method: str, args: tuple, kwargs: dict,
-                       fastlane: bool = False):
+                       fastlane: bool = False, release: bool = False):
         """Entry point for every surrogate method call.
 
         The request is built in a single pooled frame buffer: envelope
@@ -566,13 +566,16 @@ class Space:
         surrogate's build-time verdict that ``method`` declares a
         scalar-only signature; the actual arguments are still checked
         per call and fall back to the pickle lane when they do not
-        conform.
+        conform.  ``release`` is its verdict that ``method`` writes a
+        leasable object: see :meth:`_release_before_write`.
         """
         if self._closed.is_set():
             raise SpaceShutdownError("space is shut down")
         profile = self._hotpath
         for retry in (False, True):
             connection = self._conn_for_endpoints(endpoints)
+            if release:
+                self._release_before_write(connection, wirerep)
             call_id = connection.next_call_id()
             buffer, pending_bind = self._encode_call(
                 connection, call_id, wirerep, method, args, kwargs, fastlane
@@ -631,6 +634,8 @@ class Space:
             raise SpaceShutdownError("space is shut down")
         for retry in (False, True):
             connection = self._conn_for_endpoints(surrogate._endpoints)
+            if method in surrogate._lease_writes_:
+                self._release_before_write(connection, surrogate._wirerep)
             call_id = connection.next_call_id()
             buffer, pending_bind = self._encode_call(
                 connection, call_id, surrogate._wirerep, method, args,
@@ -873,18 +878,22 @@ class Space:
             return None  # invalidated or superseded while in flight
         return replica
 
-    def _release_lease(self, connection: Connection,
-                       target: WireRep) -> None:
-        """Drop any held lease on ``target`` and tell the owner — the
-        clean path calls this so a resurrected surrogate can never be
-        served defunct cached state, and so the owner retires the lease
-        without waiting out its deadline."""
-        held = self.lease_cache.drop(target)
+    def _release_lease(self, connection: Connection, target: WireRep,
+                       held: Optional[HeldLease]) -> None:
+        """Tell the owner that ``held``, already dropped from the lease
+        cache, is gone: it retires the lease without invalidating it."""
         if held is not None and connection.version >= 4:
             try:
                 connection.send(messages.LeaseRelease(target, held.lease_id))
             except CommFailure:
                 pass  # owner gone; its lease dies with the connection
+
+    def _release_before_write(self, connection: Connection,
+                              target: WireRep) -> None:
+        """Drop our replica of ``target`` and release its lease on the
+        connection the write is about to take, so the owner has no
+        lease of ours to invalidate (DESIGN.md, "Release-before-write")."""
+        self._release_lease(connection, target, self.lease_cache.drop(target))
 
     # -- GC plumbing -------------------------------------------------------------------
 
@@ -907,8 +916,11 @@ class Space:
             if not reply.ok:
                 raise NoSuchObjectError(reply.error)
         elif kind == "clean":
+            # The lease goes with the reference: a resurrected
+            # surrogate is never served defunct cached state.
             connection.method_ids.pop(target, None)
-            self._release_lease(connection, target)
+            self._release_lease(connection, target,
+                                self.lease_cache.forget(target))
             # Cleans are idempotent (the seqno dedups at the owner), so
             # a BUSY shed is retried with backoff; a dirty above is
             # not — its caller owns the must-not-lose-the-ack policy.
@@ -921,7 +933,8 @@ class Space:
         elif kind == "clean_batch":
             for entry_target, _seqno, _strong in entries:
                 connection.method_ids.pop(entry_target, None)
-                self._release_lease(connection, entry_target)
+                self._release_lease(connection, entry_target,
+                                    self.lease_cache.forget(entry_target))
             if connection.version >= 3 and len(entries) > 1:
                 self.clean_batch_frames += 1
                 reply = retry_busy(lambda: connection.call(
@@ -1103,8 +1116,6 @@ class Space:
             self.lease_cache.invalidate(message.target, message.lease_id)
             self._reply(connection,
                         messages.LeaseInvalidateAck(message.call_id))
-        elif isinstance(message, messages.LeaseRelease):
-            self._apply_lease_release(connection.peer_id, message)
         elif mtype is messages.StreamOpen:
             self._serve_stream_open(connection, message)
         # Unknown requests are dropped; replies are handled in Connection.
@@ -1376,8 +1387,16 @@ class Space:
         a mis-marked blocking method stalls the shard at most once.
         Only CALL_FAST frames are eligible: their argument decode
         never unpickles, and lease-invalidating writers (which may
-        block on holder acks) are excluded at bind time."""
-        if type(message) is not messages.FastCall:
+        block on holder acks) are excluded at bind time.
+
+        LEASE_RELEASE is always applied here, ahead of any later frame
+        on the connection, so a holder's release beats its own write;
+        the lease lock it takes is never held across a network wait."""
+        mtype = type(message)
+        if mtype is not messages.FastCall:
+            if mtype is messages.LeaseRelease:
+                self._apply_lease_release(connection.peer_id, message)
+                return True
             return False
         binding = connection.bound_methods.get(message.method_id)
         if (binding is None or not binding.quick or binding.demoted

@@ -27,6 +27,9 @@ class Surrogate:
     #: Method names with scalar-only signatures (class-build verdict);
     #: the async path looks fastlane eligibility up here by name.
     _fastlane_methods_ = frozenset()
+    #: The non-``@reads`` methods of an interface that has some: calling
+    #: one first releases this space's read lease on the object.
+    _lease_writes_ = frozenset()
 
     def __init__(self, invoker, wirerep: WireRep, endpoints: Tuple[str, ...],
                  chain: Tuple[str, ...]):
@@ -65,13 +68,19 @@ class Surrogate:
         )
 
 
-def _make_method(name: str, fastlane: bool = False):
-    # ``fastlane`` is decided once per interface at class-build time
-    # (scalar-only signature — see typecodes.fastlane_method_set), so
-    # the per-call path carries it as a constant instead of
+def _make_method(name: str, fastlane: bool = False, release: bool = False):
+    # ``fastlane`` (scalar-only signature — see
+    # typecodes.fastlane_method_set) and ``release`` (a writer of a
+    # leasable interface) are decided once per interface at class-build
+    # time, so the per-call path carries them as constants instead of
     # re-inspecting the signature.
-    def method(self, *args, **kwargs):
-        return self._invoke(name, args, kwargs, fastlane)
+    if release:
+        def method(self, *args, **kwargs):
+            return self._invoker(self._wirerep, self._endpoints, name,
+                                 args, kwargs, fastlane, True)
+    else:
+        def method(self, *args, **kwargs):
+            return self._invoke(name, args, kwargs, fastlane)
 
     method.__name__ = name
     method.__qualname__ = f"Surrogate.{name}"
@@ -97,14 +106,16 @@ def build_surrogate_class(typecode: str, interface: Type,
     """Generate the surrogate class for one interface typecode."""
     read_methods = reads_method_set(interface)
     fast_methods = fastlane_method_set(interface)
+    writes = frozenset(methods) - read_methods if read_methods else frozenset()
     namespace = {
         "_surrogate_typecode_": typecode,
         "_fastlane_methods_": frozenset(fast_methods),
+        "_lease_writes_": writes,
     }
     for name in methods:
         namespace[name] = (
             _make_read_method(name) if name in read_methods
-            else _make_method(name, fastlane=name in fast_methods)
+            else _make_method(name, name in fast_methods, name in writes)
         )
     surrogate_cls = type(f"Surrogate[{typecode}]", (Surrogate,), namespace)
     register = getattr(interface, "register", None)

@@ -13,7 +13,14 @@ leases.  The model encodes the implementation's two key mechanisms:
   gone (``expire_held`` before ``expire_owner``/``expire_outstanding``);
 * the *dead-id set* — an invalidation that overtakes its own grant
   marks the lease id dead, so a late ``install`` discards the replica
-  instead of caching pre-write state.
+  instead of caching pre-write state;
+* *release-before-write* — a holder that writes drops its replica
+  and sends ``("rel", p, id)`` before ``("write", p, id)``; delivering
+  the write is ``begin_write``.  Channels are unordered, so the
+  release may also arrive after the write, when the owner invalidates
+  the holder like any other.  ``trust_writer`` is the negative
+  control: the owner skips the writer's lease on trust and the holder
+  keeps its replica until the reply arrives.
 
 Checked invariants (:func:`leased_violations`):
 
@@ -40,11 +47,14 @@ class LeasedConfiguration:
 
     ``msgs`` holds in-flight frames: ``("req", p)``,
     ``("grant", p, id, ver)``, ``("inv", p, id)``,
-    ``("inv_ack", p, id)``, ``("rel", p, id)``, ``("clean", p)``.
-    ``writer`` is None when no write is in flight, else the set of
-    ``(p, id)`` invalidations the writer still awaits.  ``value`` is
-    the object's version — bumped once per write.  ``grants_left`` and
-    ``writes_left`` bound the instance.
+    ``("inv_ack", p, id)``, ``("rel", p, id)``, ``("clean", p)``,
+    ``("write", p, id)`` and its ``("reply", p, id)`` (a write by the
+    holder of lease ``id``).  ``writer`` is None when no write is in
+    flight, else the set of ``(p, id)`` invalidations the writer still
+    awaits; ``writing_holder`` is the ``(p, id)`` of the holder whose
+    write it is, if any.  ``value`` is the object's version — bumped
+    once per write.  ``grants_left`` and ``writes_left`` bound the
+    instance.
     """
 
     nprocs: int
@@ -56,6 +66,7 @@ class LeasedConfiguration:
     dead: FrozenSet[Tuple[int, int]] = frozenset()
     msgs: FrozenSet[Tuple] = frozenset()
     writer: Optional[FrozenSet[Tuple[int, int]]] = None
+    writing_holder: Optional[Tuple[int, int]] = None
     next_id: int = 1
     grants_left: int = 2
     writes_left: int = 1
@@ -63,6 +74,9 @@ class LeasedConfiguration:
     #: invalidation that overtakes its grant is lost and the explorer
     #: finds the stale-install race mechanically.
     use_dead_ids: bool = True
+    #: Negative-control knob: the owner trusts a writing holder to drop
+    #: its replica when the reply arrives instead of before it sends.
+    trust_writer: bool = False
 
     def describe(self) -> str:
         return (
@@ -75,8 +89,8 @@ class LeasedConfiguration:
 
 
 def initial_leased(nprocs: int = 3, grants_left: int = 2,
-                   writes_left: int = 1,
-                   use_dead_ids: bool = True) -> LeasedConfiguration:
+                   writes_left: int = 1, use_dead_ids: bool = True,
+                   trust_writer: bool = False) -> LeasedConfiguration:
     """Every client already holds a surrogate and sits in pdirty (the
     copy/dirty machinery is validated by the base model; this variant
     isolates the lease layer on top of it)."""
@@ -84,7 +98,7 @@ def initial_leased(nprocs: int = 3, grants_left: int = 2,
     return LeasedConfiguration(
         nprocs=nprocs, usable=clients, pdirty=clients,
         grants_left=grants_left, writes_left=writes_left,
-        use_dead_ids=use_dead_ids,
+        use_dead_ids=use_dead_ids, trust_writer=trust_writer,
     )
 
 
@@ -160,16 +174,38 @@ def _fire(config: LeasedConfiguration, kind, params) -> LeasedConfiguration:
     if kind == "expire_owner":
         lease = params
         return replace(config, owner_leases=config.owner_leases - {lease})
-    if kind == "begin_write":
+    if kind == "holder_write":
+        # Release-before-write: drop the replica, then the release
+        # and the write go out (in no particular order on the wire).
+        proc, lease_id, _version = params
+        held = config.held
+        msgs = config.msgs | {("write", proc, lease_id)}
+        if not config.trust_writer:
+            held = held - {params}
+            msgs |= {("rel", proc, lease_id)}
+        return replace(config, held=held, msgs=msgs,
+                       writes_left=config.writes_left - 1)
+    if kind in ("begin_write", "deliver_write"):
         outstanding = frozenset(
             (proc, lease_id) for (proc, lease_id, _v) in config.owner_leases
         )
+        msgs = config.msgs
+        writes_left = config.writes_left
+        holder = None
+        if kind == "deliver_write":
+            holder = params
+            msgs = msgs - {("write", *holder)}
+            if config.trust_writer:
+                outstanding = outstanding - {holder}
+        else:
+            writes_left -= 1
         return replace(
             config,
             value=config.value + 1,
-            writes_left=config.writes_left - 1,
+            writes_left=writes_left,
             writer=outstanding,
-            msgs=config.msgs
+            writing_holder=holder,
+            msgs=msgs
             | {("inv", proc, lease_id) for (proc, lease_id) in outstanding},
         )
     if kind == "deliver_inv":
@@ -214,7 +250,21 @@ def _fire(config: LeasedConfiguration, kind, params) -> LeasedConfiguration:
             ),
         )
     if kind == "complete_write":
-        return replace(config, writer=None)
+        msgs = config.msgs
+        if config.writing_holder is not None:
+            msgs = msgs | {("reply", *config.writing_holder)}
+        return replace(config, writer=None, writing_holder=None, msgs=msgs)
+    if kind == "deliver_reply":
+        # Only a trusting owner's writer still holds the replica here.
+        proc, lease_id = params
+        mine = {
+            lease for lease in config.held
+            if lease[0] == proc and lease[1] == lease_id
+        }
+        msgs = config.msgs - {("reply", proc, lease_id)}
+        if mine:
+            msgs |= {("rel", proc, lease_id)}
+        return replace(config, held=config.held - mine, msgs=msgs)
     if kind == "drop_ref":
         # The client's surrogate dies: release any held lease, then the
         # clean call (the implementation's clean path does both).
@@ -308,8 +358,19 @@ class LeasedMachine:
                 )
             elif msg[0] == "clean":
                 transitions.append(_Transition("deliver_clean", (msg[1],)))
+            elif msg[0] == "write":
+                if config.writer is None:
+                    transitions.append(
+                        _Transition("deliver_write", (msg[1], msg[2]))
+                    )
+            elif msg[0] == "reply":
+                transitions.append(
+                    _Transition("deliver_reply", (msg[1], msg[2]))
+                )
         for lease in config.held:
             transitions.append(_Transition("expire_held", lease))
+            if config.writes_left > 0:
+                transitions.append(_Transition("holder_write", lease))
         for lease in config.owner_leases:
             proc, lease_id, _version = lease
             if (proc, lease_id) in held_ids:

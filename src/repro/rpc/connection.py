@@ -71,16 +71,21 @@ DEFAULT_FLUSH_TIMEOUT = 1.0
 #: ``call_buffer_async`` belongs to its caller.
 _MAX_FREE_PENDING = 8
 
-#: The collector's control plane.  These frames are *bounded* by the
+#: The control plane.  These frames are *bounded* by the
 #: per-connection inflight gauge (reads pause) but never *refused* by
 #: the queue cap, rate bucket, or bulkheads: refusing a DIRTY/CLEAN
 #: would break the reference-listing invariants, and refusing a PING
 #: makes a busy-but-live client look dead to the pinger (which would
 #: then purge its dirty entries — a GC-safety violation, not a
-#: liveness hiccup).  The plane is low-rate and seqno-guarded, so the
-#: exemption cannot be used to flood past admission.
+#: liveness hiccup).  COPY_ACK and LEASE_RELEASE only hand state back,
+#: and shedding a one-way frame is silent: a lost COPY_ACK pins the
+#: sender's transient entry for good, a lost LEASE_RELEASE costs a
+#: holder's write the invalidation round trip it exists to save.  Every
+#: frame here is at most a table update and its ack, and stays charged
+#: to the gauge, so the exemption cannot be used to flood past admission.
 _GC_PLANE_TAGS = frozenset({
     protocol.DIRTY, protocol.CLEAN, protocol.CLEAN_BATCH, protocol.PING,
+    protocol.COPY_ACK, protocol.LEASE_RELEASE,
 })
 
 #: Bulk-data frames of streams that are already open: routed to the

@@ -475,11 +475,12 @@ class TestUngaugedRefusal:
 
 
 class TestGCPlaneExemption:
-    """The collector's control plane (DIRTY/CLEAN/CLEAN_BATCH/PING) is
-    bounded by the inflight gauge but never *refused*: a shed dirty
-    breaks reference-listing safety, and a shed ping makes a live peer
-    look dead.  Pre-v6 peers get silence (not FAULT) on those planes —
-    their reply handlers assert on the exact ack type."""
+    """The control plane (DIRTY/CLEAN/CLEAN_BATCH/PING/COPY_ACK/
+    LEASE_RELEASE) is bounded by the inflight gauge but never
+    *refused*: a shed dirty breaks reference-listing safety, a shed
+    ping makes a live peer look dead, and a shed one-way frame strands
+    the state it hands back.  Pre-v6 peers get silence (not FAULT) on
+    those planes — their reply handlers assert on the exact ack type."""
 
     def test_dispatcher_force_bypasses_queue_cap_not_shutdown(self):
         pool = Dispatcher("force-test", max_queued=0)
@@ -546,6 +547,50 @@ class TestGCPlaneExemption:
             result["b"].close()
             refusing.shutdown()
             accepting.shutdown()
+
+    def test_copy_ack_is_forced_past_a_full_queue(self):
+        """A COPY_ACK reaching a saturated owner is queued, not shed:
+        the frame is one-way, so a refusal would be silent and — with
+        no transient TTL configured — pin the copy's export forever."""
+        from repro import async_call
+        from tests.helpers import Registry, settle
+
+        blocker = Blocker()
+        owner, holder, endpoint = _pair(
+            "copyack",
+            server_kwargs={"dispatcher_max_workers": 1,
+                           "admission": AdmissionConfig(max_queued=1)},
+            client_kwargs={"listen": ["tcp://127.0.0.1:0"]},
+        )
+        with owner, holder:
+            owner.serve("blocker", blocker)
+            holder.serve("registry", Registry())
+            sink = owner.import_object(holder.endpoints[0], "registry")
+            gate = holder.import_object(endpoint, "blocker")
+            token = Echo()
+            assert sink.hold(token) == 1   # dirty + ack, owner idle
+            settle(holder, owner)          # no collector traffic queued
+            assert len(owner.transient) == 0
+            assert owner.dispatcher.stats()["queued"] == 0
+            exported0 = owner.gc_stats()["exported"]
+            # Saturate: the one worker pinned, the one queue slot taken.
+            running = async_call(gate.wait)
+            assert blocker.entered.wait(10)
+            queued = async_call(gate.wait)
+            assert wait_until(
+                lambda: owner.dispatcher.stats()["queued"] >= 1)
+            # The holder already has the surrogate, so this second copy
+            # is acked at once — into the full queue.
+            assert sink.hold(token) == 2
+            blocker.release.set()
+            assert running.result(10) == "done"
+            assert queued.result(10) == "done"
+            assert wait_until(lambda: len(owner.transient) == 0)
+            del token
+            assert sink.drop_all() == 2
+            settle(holder, owner)
+            assert wait_until(
+                lambda: owner.gc_stats()["exported"] == exported0 - 1)
 
     def test_pre_v6_shed_replies_are_tag_aware(self):
         """Below v6 a shed DIRTY/CLEAN_BATCH must be answered by

@@ -7,9 +7,10 @@ Covers the three stacked per-call eliminations — method-id interning
 peer must behave byte-for-byte like a v4 space, in either dial
 direction, and a below-floor peer must fail fast instead of
 deadlocking.  Also the zero-copy regression for ``Call.decode`` fed
-``bytes`` instead of a memoryview, and the GC obligation that a
+``bytes`` instead of a memoryview, the GC obligation that a
 server-side method binding never pins its object against the
-distributed collector.
+distributed collector, and the LEASE_RELEASE a lease holder sends
+ahead of its own write, which the same inline hook applies.
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ import time
 
 import pytest
 
-from repro import NetObj, ProtocolError, Space, quick, wiretypes
+from repro import NetObj, ProtocolError, Space, quick, reads, wiretypes
 from repro.core import typecodes
 from repro.errors import UnmarshalError
 from repro.rpc import messages
 from repro.wire import protocol
 from repro.wire.ids import fresh_space_id
 from repro.wire.wirerep import WireRep
-from tests.helpers import wait_until
+from tests.helpers import settle, wait_until
 
 
 class FastEcho(NetObj):
@@ -384,6 +385,99 @@ class TestFastLaneRuntime:
             assert wait_until(lambda: all(
                 binding.method != "add"
                 for binding in list(inbound.bound_methods.values())))
+
+
+class Ledger(NetObj):
+    """Leasable, with a snapshot slow enough to hold the lease lock
+    for a while on every grant."""
+
+    def __init__(self):
+        self.n = 0
+
+    def __lease_state__(self) -> dict:
+        time.sleep(0.005)
+        return {"n": self.n}
+
+    def __set_lease_state__(self, state: dict) -> None:
+        self.n = state["n"]
+
+    @reads
+    def get(self) -> int:
+        return self.n
+
+    def put(self, n: int) -> int:
+        self.n = max(self.n, n)
+        return self.n
+
+
+class TestReleaseBeforeWrite:
+    """A lease holder's write releases its lease ahead of the call
+    frame; the owner applies the release on the delivering thread."""
+
+    def test_interface_without_reads_sends_no_lease_release(self):
+        from repro import async_call
+
+        server, client, endpoint = _pair("norelease")
+        with server, client:
+            server.serve("e", FastEcho())
+            e = client.import_object(endpoint, "e")
+            assert type(e)._lease_writes_ == frozenset()
+            settle(server, client)   # the bootstrap agent lease's release
+            connection = client.cache.get(endpoint)
+            sent = []
+            send = connection.send
+            connection.send = lambda m: (sent.append(type(m)), send(m))
+            for i in range(20):
+                assert e.nothing() is None
+                assert e.add(i, 1) == i + 1
+            futures = [async_call(e.add, i, i) for i in range(20)]
+            assert [f.result(10) for f in futures] == [2 * i for i in range(20)]
+            assert messages.LeaseRelease not in sent
+
+    def test_lease_release_applies_on_the_delivering_thread(self):
+        """LEASE_RELEASE is applied on the reactor thread, and that
+        cannot deadlock: the lease lock is held only for table updates
+        and grant snapshot pickling, never across a network wait.  One
+        reactor thread serves two holders that each read and write the
+        same object, so every write waits on the other holder's
+        invalidation ack while releases and slow grant snapshots
+        contend for the lock."""
+        server, client_a, endpoint = _pair(
+            "reactor-release", server_kwargs={"reactor_shards": 1}
+        )
+        client_b = Space("fl-cli-reactor-release-b", shm="off")
+        appliers = []
+        apply = server._apply_lease_release
+
+        def recording_apply(peer, message):
+            appliers.append(threading.current_thread().name)
+            apply(peer, message)
+
+        server._apply_lease_release = recording_apply
+        with server, client_a, client_b:
+            server.serve("ledger", Ledger())
+            failures = []
+
+            def holder(space, offset):
+                ledger = space.import_object(endpoint, "ledger")
+                try:
+                    for i in range(offset, 60, 2):
+                        ledger.get()
+                        if ledger.put(i) < i or ledger.get() < i:
+                            failures.append(i)
+                except Exception as exc:  # pragma: no cover - diagnostics
+                    failures.append(exc)
+
+            threads = [threading.Thread(target=holder, args=(space, offset))
+                       for offset, space in enumerate((client_a, client_b))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not failures
+            assert appliers
+            assert all(name.startswith("reactor-") for name in appliers)
 
 
 class TestVersionInterop:

@@ -69,6 +69,30 @@ def _pair(name, server_kwargs=None, client_kwargs=None):
     return server, client, endpoint
 
 
+def _check_holder_write(name, write):
+    """Two spaces hold a lease on one gauge and one of them writes
+    through ``write``.  Its LEASE_RELEASE rides ahead of the call
+    (release-before-write), so the owner invalidates only the other
+    holder — and both read the new state once the write returned."""
+    server, writer, endpoint = _pair(name)
+    reader = repro.Space(f"rdr-{name}")
+    with server, writer, reader:
+        server.serve("gauge", Gauge(0))
+        w = writer.import_object(endpoint, "gauge")
+        r = reader.import_object(endpoint, "gauge")
+        assert w.get() == 0 and r.get() == 0      # both hold a lease
+        settle(server, writer, reader)            # bootstrap leases gone
+        before = server.lease_stats()
+        assert write(w) == 5
+        after = server.lease_stats()
+        assert after["invalidations_sent"] - before["invalidations_sent"] == 1
+        # The writer's release, and the reader's lease retired on its ack.
+        assert after["leases_released"] - before["leases_released"] == 2
+        assert writer.lease_stats()["invalidations_received"] == 0
+        assert reader.lease_stats()["invalidations_received"] == 1
+        assert w.get() == 5 and r.get() == 5
+
+
 class TestLeaseBasics:
     def test_reads_are_served_from_the_replica(self, request):
         server, client, endpoint = _pair(request.node.name)
@@ -103,20 +127,55 @@ class TestLeaseBasics:
                     assert key in leases, key
 
     def test_write_refreshes_every_reader(self, request):
+        _check_holder_write(request.node.name, lambda w: w.incr(5))
+
+    def test_async_write_refreshes_every_reader(self, request):
+        _check_holder_write(
+            request.node.name, lambda w: repro.async_call(w.incr, 5).result(10)
+        )
+
+    def test_lost_release_still_invalidates_before_the_write_returns(
+            self, request):
+        """FIFO buys the saving, never the safety: with the writer's
+        LEASE_RELEASE lost (as if it rode a connection that died), the
+        owner invalidates the writer's lease before the write returns
+        and the writer acks an id it no longer holds — a stale id it
+        does not keep.  Delivered late, the release retires nothing."""
         server, client, endpoint = _pair(request.node.name)
         with server, client:
-            server.serve("gauge", Gauge(0))
+            impl = Gauge(0)
+            server.serve("gauge", impl)
             gauge = client.import_object(endpoint, "gauge")
             assert gauge.get() == 0
-            assert gauge.incr(5) == 5
-            # The write invalidated the lease before returning; the
-            # next read re-leases and must see the new state.
-            assert gauge.get() == 5
+            settle(server, client)
+            connection = client.cache.get(endpoint)
+            lost = []
+            send = connection.send
+
+            def lossy_send(message):
+                if isinstance(message, messages.LeaseRelease):
+                    lost.append(message)
+                else:
+                    send(message)
+
+            connection.send = lossy_send
+            owner0 = server.lease_stats()
+            holder0 = client.lease_stats()
+            assert gauge.incr(3) == 3
+            assert len(lost) == 1
             owner = server.lease_stats()
-            assert owner["invalidations_sent"] >= 1
-            # agent + gauge + the gauge re-grant after the write
-            assert owner["leases_granted"] == 3
-            assert client.lease_stats()["invalidations_received"] >= 1
+            holder = client.lease_stats()
+            assert owner["invalidations_sent"] \
+                - owner0["invalidations_sent"] == 1
+            assert holder["invalidations_received"] \
+                - holder0["invalidations_received"] == 1
+            assert client.lease_cache._dead_ids == {}
+            assert gauge.get() == 3          # re-leased, post-write state
+            send(lost[0])                    # the late release
+            connection.call(messages.Ping(connection.next_call_id()))
+            entry = server.object_table.exported_entry_for(impl)
+            assert client.space_id in entry.leases   # the re-grant lives
+            assert gauge.get() == 3
 
     def test_expired_lease_is_renewed(self, request):
         gc_config = GcConfig(lease_ttl=0.15)
@@ -380,6 +439,45 @@ class TestLeaseCacheUnit:
         # A later, different grant is unaffected.
         assert cache.register(rep, 18, "replica", time.monotonic() + 5, 2)
         assert cache.replica_for(rep) == "replica"
+
+    def test_stale_invalidations_cannot_evict_a_live_race(self):
+        """Invalidations of leases this cache already processed (a
+        replica that expired here first, one released ahead of a
+        write) are not remembered, so however many arrive they cannot
+        push out the entry that matters: an invalidation that overtook
+        a grant still being unpickled."""
+        cache = LeaseCache()
+        stale = WireRep(fresh_space_id("owner"), 1)
+        racing = WireRep(stale.owner, 2)
+        assert cache.register(stale, 1000, "replica", time.monotonic() + 5, 1)
+        assert cache.begin_acquire(racing)
+        for lease_id in range(256):
+            cache.invalidate(stale, lease_id)
+        cache.invalidate(racing, 2000)       # overtakes its own grant
+        for lease_id in range(256, 512):
+            cache.invalidate(stale, lease_id)
+        assert cache.register(racing, 2000, object(),
+                              time.monotonic() + 5, 2) is False
+        cache.end_acquire(racing)
+        assert cache.replica_for(racing) is None
+        assert cache.replica_for(stale) == "replica"
+        assert cache._dead_ids == {}
+
+    def test_forgotten_references_cannot_evict_a_live_race(self):
+        """Ids arriving after their reference was forgotten are
+        pruned at the bound; a wireRep with a grant in flight keeps
+        its entry."""
+        cache = LeaseCache()
+        owner = fresh_space_id("owner")
+        racing = WireRep(owner, 0)
+        assert cache.begin_acquire(racing)
+        cache.invalidate(racing, 7)
+        for index in range(1, 600):
+            cache.invalidate(WireRep(owner, index), 1)
+        assert len(cache._dead_ids) <= 256
+        assert cache.register(racing, 7, object(),
+                              time.monotonic() + 5, 1) is False
+        cache.end_acquire(racing)
 
     def test_invalidation_of_a_held_lease_drops_it(self):
         cache = LeaseCache()
