@@ -244,16 +244,14 @@ def handshake_idle_socket(endpoint: str):
     import struct
 
     from repro.rpc import messages
-    from repro.wire import protocol as wire_protocol
     from repro.wire.framing import pack_frame
     from repro.wire.ids import fresh_space_id
+    from repro.wire.protocol import PROTOCOL_VERSION
 
     host, port = endpoint[len("tcp://"):].rsplit(":", 1)
     sock = socketlib.create_connection((host, int(port)), timeout=10)
-    base = min(wire_protocol.PROTOCOL_VERSION,
-               wire_protocol.MIN_PROTOCOL_VERSION)
     hello = messages.Hello(
-        fresh_space_id("idle"), "idle", base, wire_protocol.PROTOCOL_VERSION
+        fresh_space_id("idle"), "idle", PROTOCOL_VERSION, PROTOCOL_VERSION
     )
     sock.sendall(pack_frame(hello.encode()))
 

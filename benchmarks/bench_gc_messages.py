@@ -119,14 +119,15 @@ class TestResurrectionAblation:
 class TestBatchedCleans:
     @pytest.mark.benchmark(group="E4-gc-messages")
     def test_batched_vs_unit_clean_frames(self, benchmark, report):
-        """100 surrogates dropped at once toward one owner: a protocol
-        v3 client folds the clean calls into CLEAN_BATCH frames, a v2
-        client (batching negotiated off) ships one CLEAN + CLEAN_ACK
-        per reclamation.  Batching must cut collector frames by ≥5x."""
+        """100 surrogates dropped at once toward one owner: a default
+        client folds the clean calls into CLEAN_BATCH frames, a client
+        with batching off (``clean_batch_max=1``) ships one CLEAN +
+        CLEAN_ACK per reclamation.  Batching must cut collector frames
+        by ≥5x."""
         import gc as pygc
         import time
 
-        from repro import NetObj, Space
+        from repro import GcConfig, NetObj, Space
         from repro.sim.network import NetworkModel
         from repro.transport.simulated import SimTransport
         from repro.wire import protocol
@@ -139,13 +140,13 @@ class TestBatchedCleans:
             def poke(self):
                 return True
 
-        def reclaim_frames(version):
+        def reclaim_frames(clean_batch_max):
             transport = SimTransport(NetworkModel(latency=0.0001))
             server = Space("owner", listen=["sim://owner"],
                            transports=[transport])
             client = Space("client", listen=["sim://client"],
                            transports=[transport],
-                           protocol_version=version)
+                           gc=GcConfig(clean_batch_max=clean_batch_max))
             try:
                 server.serve("maker", Maker())
                 agent = client.import_object("sim://owner")
@@ -177,13 +178,13 @@ class TestBatchedCleans:
                 transport.shutdown()
 
         def run():
-            return reclaim_frames(2), reclaim_frames(None)
+            return reclaim_frames(1), reclaim_frames(GcConfig().clean_batch_max)
 
         unit, batched = benchmark.pedantic(run, rounds=1, iterations=1)
         reduction = unit / batched
         report("E4 GC messages",
-               f"100 reclamations to one owner: {unit} clean frames at "
-               f"v2 (unit), {batched} at v3 (batched) — "
+               f"100 reclamations to one owner: {unit} clean frames "
+               f"unbatched, {batched} batched — "
                f"{reduction:.1f}x fewer",
                unit_clean_frames_per_100=unit,
                batched_clean_frames_per_100=batched,

@@ -81,11 +81,12 @@ class TestThroughputCurve:
 
 # -- bulk streams (the v7 bulk-data plane) ---------------------------------------------
 
-def download(depot, size: int, scratch: bytearray) -> float:
-    """Seconds to pull ``size`` bytes through ``as_file`` into a
-    reused buffer (open and close included)."""
+def download(depot, size: int, scratch: bytearray,
+             open_file=as_file) -> float:
+    """Seconds to pull ``size`` bytes through ``open_file`` (default
+    ``as_file``) into a reused buffer (open and close included)."""
     start = time.perf_counter()
-    with as_file(depot.open_download(size)) as stream:
+    with open_file(depot.open_download(size)) as stream:
         total = stream.readinto(scratch)
         assert bytes(scratch[:64]) == expected_bytes(0, 64)
         while True:

@@ -1,4 +1,4 @@
-"""Read leases: owner-granted cached object state (protocol v4).
+"""Read leases: owner-granted cached object state.
 
 The paper's invocation model charges every remote read a full RPC.
 For read-mostly objects this module adds the classic lease

@@ -75,11 +75,11 @@ def quick(func):
     """Declare a method safe to run inline on the reactor I/O thread.
 
     A ``@quick`` method promises it never blocks: no I/O, no lock
-    waits, no nested remote calls, sub-millisecond CPU.  On protocol
-    v5 connections the server then executes it directly on the reactor
-    shard that read the frame, skipping both thread handoffs (reactor →
-    dispatcher → worker) of a normal dispatch — see DESIGN.md, "The
-    call fast lane".  The promise is *checked*: a per-shard inline
+    waits, no nested remote calls, sub-millisecond CPU.  The server
+    then executes it directly on the reactor shard that read the
+    frame, skipping both thread handoffs (reactor → dispatcher →
+    worker) of a normal dispatch — see DESIGN.md, "The call fast
+    lane".  The promise is *checked*: a per-shard inline
     budget (time + count) demotes a binding whose calls overrun back
     to the dispatcher, so a mis-marked method degrades throughput
     instead of stalling every connection on its shard.

@@ -37,7 +37,7 @@ class ExportedEntry:
     dropped.
 
     ``leases`` maps holder SpaceID → live :class:`repro.core.leases.Lease`
-    (protocol v4 read leases) and ``lease_version`` counts write-path
+    (read leases) and ``lease_version`` counts write-path
     invocations, versioning the snapshots shipped with grants.  A lease
     holder is always a member of ``pdirty`` (grants require it, CLEAN
     and purge retire it), so leases never extend an entry's lifetime —
@@ -45,7 +45,7 @@ class ExportedEntry:
     discards them.
     """
 
-    # ``__weakref__``: v5 method bindings reference their entry weakly
+    # ``__weakref__``: method bindings reference their entry weakly
     # (a strong reference would pin the object against the collector
     # for the life of the peer's connection — see space._MethodBinding).
     __slots__ = ("obj", "index", "pdirty", "seqnos", "tdirty", "pinned",

@@ -81,7 +81,6 @@ from repro.transport.inprocess import InProcessTransport
 from repro.transport.reactor import ReactorPool, default_reactor_shards
 from repro.transport.shm import ShmTransport, rendezvous_path
 from repro.transport.tcp import TcpTransport
-from repro.wire import protocol as wire_protocol
 from repro.wire.ids import SpaceID, fresh_space_id, intern_existing
 from repro.wire.wirerep import SPECIAL_OBJECT_INDEX, WireRep
 
@@ -89,15 +88,19 @@ from repro.wire.wirerep import SPECIAL_OBJECT_INDEX, WireRep
 #: this tag short-circuits the reply unpickle in ``_invoke_remote``.
 _NONE_TAG = tags.NONE
 
+#: The keyword arguments of a CALL_FAST (typed scalars are positional).
+_NO_KWARGS: dict = {}
+
 
 class _MethodBinding:
     """The server half of one interned ``(object, method)`` pair.
 
     Registered in ``connection.bound_methods`` when a CALL_BIND frame
-    arrives (protocol v5); every later CALL_BOUND/CALL_FAST carrying
-    the same method id skips wirerep decode, the owner check, the
-    object-table lookup, the remote-surface check and the method-name
-    string entirely.  The binding caches the *entry* only weakly and
+    arrives; every later CALL_BOUND/CALL_FAST carrying the same method
+    id skips wirerep decode, the owner check, the object-table lookup,
+    the remote-surface check and the method-name string entirely.
+    ``target`` is the wireRep the binding was made for (the per-target
+    bulkhead key of its calls).  The binding caches the *entry* only weakly and
     the method as the plain function from the class dict: a strong
     entry (or bound method) would pin the object against the
     distributed collector for the life of the peer's connection, which
@@ -112,10 +115,11 @@ class _MethodBinding:
     overran its budget; the binding then dispatches normally forever.
     """
 
-    __slots__ = ("entry_ref", "method", "func", "quick", "invalidates",
-                 "fault", "demoted")
+    __slots__ = ("target", "entry_ref", "method", "func", "quick",
+                 "invalidates", "fault", "demoted")
 
-    def __init__(self, method: str):
+    def __init__(self, target: WireRep, method: str):
+        self.target = target
         self.entry_ref = _dead_ref
         self.method = method
         self.func = None
@@ -148,27 +152,22 @@ class Space:
         structs: Optional[StructRegistry] = None,
         gc: Optional[GcConfig] = None,
         call_timeout: float = 30.0,
-        protocol_version: Optional[int] = None,
         conn_idle_ttl: Optional[float] = None,
         reactor_shards: Optional[int] = None,
         dispatcher_max_workers: int = 256,
-        dispatcher_idle_timeout: float = 5.0,
         shm: str = "auto",
-        marshal_max_per_thread: int = 4,
         leases: str = "on",
         hotpath_profile: bool = False,
         agent: Optional[Agent] = None,
         admission=None,
     ):
         """``reactor_shards`` picks the I/O shard count (default
-        ``min(4, cpu_count)``); ``dispatcher_max_workers`` and
-        ``dispatcher_idle_timeout`` size the task pool; ``shm`` is
-        ``"auto"`` (same-machine peers upgrade to the shared-memory
-        transport when both sides run one) or ``"off"``;
-        ``marshal_max_per_thread`` caps the per-thread codec stacks;
-        ``leases`` is ``"on"`` (read leases granted and used on v4
-        connections, for types that declare ``@reads`` methods) or
-        ``"off"`` (every read is an RPC, as before v4);
+        ``min(4, cpu_count)``); ``dispatcher_max_workers`` caps the
+        task pool; ``shm`` is ``"auto"`` (same-machine peers upgrade to
+        the shared-memory transport when both sides run one) or
+        ``"off"``; ``leases`` is ``"on"`` (read leases granted and
+        used, for types that declare ``@reads`` methods) or ``"off"``
+        (every read is an RPC);
         ``hotpath_profile`` turns on per-stage call-pipeline timing
         (see :mod:`repro.rpc.hotpath` — costs a few hundred ns per
         call, so it defaults to off); ``agent`` substitutes the name
@@ -177,7 +176,7 @@ class Space:
         naming-mesh replica); ``admission`` configures the bounded
         ingress pipeline — ``None`` enables it with the default
         :class:`~repro.rpc.admission.AdmissionConfig` budgets,
-        ``"off"`` disables it entirely (pre-v6 unbounded behaviour),
+        ``"off"`` disables it entirely (unbounded ingress),
         and an :class:`~repro.rpc.admission.AdmissionConfig` (or a
         ready :class:`~repro.rpc.admission.AdmissionController`)
         customises the budgets."""
@@ -188,13 +187,6 @@ class Space:
         intern_existing(self.space_id)
         self.nickname = nickname
         self.call_timeout = call_timeout
-        # The highest protocol version this space announces at HELLO;
-        # lowering it (tests, staged rollouts) yields a well-formed
-        # "old" peer that never sees v3 frames.
-        self._protocol_version = (
-            protocol_version if protocol_version is not None
-            else wire_protocol.PROTOCOL_VERSION
-        )
         self.gc_config = gc if gc is not None else GcConfig()
         self.types = types if types is not None else global_types
         self.structs = structs if structs is not None else global_registry
@@ -217,7 +209,7 @@ class Space:
 
         # The bounded ingress pipeline: one controller shared by every
         # connection of this space, so the budgets are per-space, not
-        # per-channel.  ``"off"`` restores the pre-v6 unbounded paths.
+        # per-channel.  ``"off"`` leaves ingress unbounded.
         if admission == "off":
             self.admission: Optional[AdmissionController] = None
         elif isinstance(admission, AdmissionController):
@@ -238,27 +230,22 @@ class Space:
         self.dispatcher = Dispatcher(
             name=nickname or str(self.space_id),
             max_workers=dispatcher_max_workers,
-            idle_timeout=dispatcher_idle_timeout,
             shards=shards if shards > 1 else 0,
             max_queued=(admission_config.max_queued
                         if admission_config is not None else None),
             shard_queue_max=(admission_config.shard_queue_max
                              if admission_config is not None else None),
         )
-        self._marshal = MarshalPool(
-            self.structs, max_per_thread=marshal_max_per_thread
-        )
+        self._marshal = MarshalPool(self.structs)
         self.object_table = ObjectTable(self.space_id)
         self.transient = TransientTable()
         self.dgc_owner = DgcOwner(self.object_table)
-        # Read leases (protocol v4): the owner half lives on exported
+        # Read leases: the owner half lives on exported
         # entries via ``lease_table``; the client half caches replicas
         # in ``lease_cache``.  The collector retires a holder's lease
         # whenever it leaves a dirty set (CLEAN or pinger purge) — the
         # lease ⊆ pdirty invariant.
-        self._leases_enabled = (
-            leases != "off" and self._protocol_version >= 4
-        )
+        self._leases_enabled = leases != "off"
         self.lease_table = LeaseTable(self.gc_config.lease_ttl)
         self.lease_cache = LeaseCache()
         self.dgc_owner.retire_holder = self._retire_holder
@@ -271,11 +258,11 @@ class Space:
             name=f"gc-cleanup-{nickname or self.space_id.short()}",
         )
 
-        #: CLEAN_BATCH frames actually sent (v3 connections only);
-        #: the daemon's ``batches_sent`` counts logical batch attempts.
+        #: CLEAN_BATCH frames actually sent; the daemon's
+        #: ``batches_sent`` counts logical batch attempts.
         self.clean_batch_frames = 0
 
-        # v5 call-fast-lane counters (surfaced as stats()["fastlane"];
+        # Call-fast-lane counters (surfaced as stats()["fastlane"];
         # inline_dispatches lives on the reactor shards).
         self.methods_bound = 0
         self.fastlane_calls = 0
@@ -448,7 +435,7 @@ class Space:
             connection = Connection(
                 channel, self.space_id, self.dispatcher,
                 self._handle_request, on_close=self._on_conn_close,
-                outbound=False, max_version=self._protocol_version,
+                outbound=False,
                 reactor=self.reactor, inline_handler=self._try_inline,
                 profile=self._hotpath, admission=self.admission,
                 stream_stats=self.stream_stats,
@@ -489,7 +476,7 @@ class Space:
         connection = Connection(
             channel, self.space_id, self.dispatcher,
             self._handle_request, on_close=self._on_conn_close,
-            outbound=True, max_version=self._protocol_version,
+            outbound=True,
             reactor=self.reactor, inline_handler=self._try_inline,
             profile=self._hotpath, admission=self.admission,
             stream_stats=self.stream_stats,
@@ -560,7 +547,7 @@ class Space:
         """Entry point for every surrogate method call.
 
         The request is built in a single pooled frame buffer: envelope
-        prefix first, then the args pickle (or, on the v5 fast lane,
+        prefix first, then the args pickle (or, on the fast lane,
         the typed scalar encoding) streamed directly after it (see
         DESIGN.md, "Hot path & copy discipline").  ``fastlane`` is the
         surrogate's build-time verdict that ``method`` declares a
@@ -658,7 +645,9 @@ class Space:
     def _encode_call(self, connection: Connection, call_id: int,
                      wirerep: WireRep, method: str, args: tuple,
                      kwargs: dict, fastlane: bool = False):
-        """Build one request frame in a pooled buffer (caller owns it).
+        """Build one request frame in a pooled buffer (caller owns it):
+        CALL_BIND on a binding's first call, CALL_FAST or CALL_BOUND
+        afterwards.
 
         Returns ``(buffer, pending_bind)``: ``pending_bind`` is the
         ``(wirerep, method, method_id)`` triple the caller must publish
@@ -669,14 +658,42 @@ class Space:
         start = time.perf_counter_ns() if profile is not None else 0
         buffer = connection.new_send_buffer()
         pending_bind = None
+        fast = False
         try:
-            if connection.version >= 5:
-                pending_bind = self._encode_call_v5(
-                    connection, buffer, call_id, wirerep, method, args,
-                    kwargs, fastlane,
+            bound = connection.method_ids.get(wirerep)
+            method_id = bound.get(method) if bound is not None else None
+            if method_id is None:
+                # First call through this binding: the METHOD_BIND
+                # announcement rides the call frame itself, so interning
+                # never costs an extra round trip.  Concurrent first
+                # calls each announce their own id — the peer registers
+                # all of them and ``method_ids`` settles on whichever
+                # send publishes first.
+                method_id = connection.next_method_id()
+                self.methods_bound += 1
+                pending_bind = wirerep, method, method_id
+                messages.encode_bind_call_prefix(
+                    buffer, call_id, method_id, wirerep, method
                 )
             else:
-                messages.encode_call_prefix(buffer, call_id, wirerep, method)
+                if fastlane and not kwargs:
+                    base = len(buffer)
+                    messages.encode_fast_call_prefix(buffer, call_id,
+                                                     method_id)
+                    fast = encode_scalar_args_into(buffer, args)
+                    if fast:
+                        self.fastlane_calls += 1
+                    else:
+                        # The *signature* conforms but these arguments
+                        # don't (a surrogate where a scalar was
+                        # annotated, an int beyond 64 bits, ...):
+                        # rewind and take the pickle lane per call.
+                        del buffer[base:]
+                        self.fastlane_fallbacks += 1
+                if not fast:
+                    messages.encode_bound_call_prefix(buffer, call_id,
+                                                      method_id)
+            if not fast:
                 self._pickle_args_into(connection, buffer, args, kwargs)
         except BaseException:
             connection.discard_send_buffer(buffer)
@@ -685,43 +702,6 @@ class Space:
             profile.encode_ns += time.perf_counter_ns() - start
             profile.encode_calls += 1
         return buffer, pending_bind
-
-    def _encode_call_v5(self, connection: Connection, buffer: bytearray,
-                        call_id: int, wirerep: WireRep, method: str,
-                        args: tuple, kwargs: dict, fastlane: bool):
-        """The v5 request envelope: CALL_BIND on a binding's first
-        call, CALL_FAST/CALL_BOUND afterwards.  Returns the pending
-        bind publication (see :meth:`_encode_call`) or None."""
-        bound = connection.method_ids.get(wirerep)
-        method_id = bound.get(method) if bound is not None else None
-        if method_id is None:
-            # First call through this binding: the METHOD_BIND
-            # announcement rides the CALL frame itself, so interning
-            # never costs an extra round trip.  Concurrent first calls
-            # each announce their own id — the peer registers all of
-            # them and ``method_ids`` settles on whichever send
-            # publishes first.
-            method_id = connection.next_method_id()
-            self.methods_bound += 1
-            messages.encode_bind_call_prefix(
-                buffer, call_id, method_id, wirerep, method
-            )
-            self._pickle_args_into(connection, buffer, args, kwargs)
-            return wirerep, method, method_id
-        if fastlane and not kwargs:
-            base = len(buffer)
-            messages.encode_fast_call_prefix(buffer, call_id, method_id)
-            if encode_scalar_args_into(buffer, args):
-                self.fastlane_calls += 1
-                return None
-            # The *signature* conforms but these arguments don't (a
-            # surrogate where a scalar was annotated, an int beyond 64
-            # bits, ...): rewind and take the pickle lane per call.
-            del buffer[base:]
-            self.fastlane_fallbacks += 1
-        messages.encode_bound_call_prefix(buffer, call_id, method_id)
-        self._pickle_args_into(connection, buffer, args, kwargs)
-        return None
 
     def _pickle_args_into(self, connection: Connection, buffer: bytearray,
                           args: tuple, kwargs: dict) -> None:
@@ -740,7 +720,7 @@ class Space:
                       reply: messages.Message):
         """Turn a reply message into the call's value (or exception)."""
         if type(reply) is messages.FastResult:
-            # v5 typed scalar result: no pickle, no codec stack.
+            # Typed scalar result: no pickle, no codec stack.
             return decode_scalar_result(reply.value_wire)
         if isinstance(reply, messages.Fault):
             raise self._fault_to_exception(reply)
@@ -767,8 +747,8 @@ class Space:
 
         Serve from the lease-cached replica when one is held; acquire a
         lease on a miss; fall back to an ordinary remote invocation
-        whenever leasing is off, denied, unavailable (pre-v4 peer) or
-        the replica cannot run the method locally.
+        whenever leasing is off, denied, unavailable or the replica
+        cannot run the method locally.
         """
         wirerep = surrogate._wirerep
         cache = self.lease_cache
@@ -826,10 +806,6 @@ class Space:
             connection = self._conn_for_endpoints(surrogate._endpoints)
         except (CommFailure, SpaceShutdownError):
             return None
-        if connection.version < 4:
-            # A pre-v4 peer never sees lease frames; every read on this
-            # reference stays an RPC.
-            return None
         cache.lease_requests += 1
         ttl_ms = max(1, int(self.gc_config.lease_ttl * 1000))
         sent_at = time.monotonic()
@@ -882,7 +858,7 @@ class Space:
                        held: Optional[HeldLease]) -> None:
         """Tell the owner that ``held``, already dropped from the lease
         cache, is gone: it retires the lease without invalidating it."""
-        if held is not None and connection.version >= 4:
+        if held is not None:
             try:
                 connection.send(messages.LeaseRelease(target, held.lease_id))
             except CommFailure:
@@ -903,9 +879,8 @@ class Space:
         """Send collector traffic to an owner and await its ack(s).
 
         ``kind`` is "dirty", "clean" or "clean_batch".  A clean batch
-        rides one CLEAN_BATCH frame when the connection negotiated
-        protocol ≥ 3; toward a v2 peer it degrades to unit CLEAN
-        frames here, so the cleanup daemon stays version-blind.
+        of two or more entries rides one CLEAN_BATCH frame; a single
+        entry travels as a unit CLEAN.
         """
         connection = self._conn_for_endpoints(endpoints)
         timeout = self.gc_config.gc_call_timeout
@@ -935,7 +910,7 @@ class Space:
                 connection.method_ids.pop(entry_target, None)
                 self._release_lease(connection, entry_target,
                                     self.lease_cache.forget(entry_target))
-            if connection.version >= 3 and len(entries) > 1:
+            if len(entries) > 1:
                 self.clean_batch_frames += 1
                 reply = retry_busy(lambda: connection.call(
                     messages.CleanBatch(
@@ -1072,19 +1047,16 @@ class Space:
 
     def _handle_request(self, connection: Connection,
                         message: messages.Message) -> None:
-        # v5 steady-state call frames first: they are the hot path.
+        # Call frames first: they are the hot path.  All three take the
+        # one pipeline in ``_serve_call``; a CALL_BIND registers its
+        # binding on the way in.
         mtype = type(message)
-        if mtype is messages.FastCall:
-            self._serve_fast_call(connection, message)
-        elif mtype is messages.BoundCall:
-            self._serve_bound_call(connection, message)
-        elif isinstance(message, messages.Call):
-            self._serve_call(connection, message)
-        elif isinstance(message, messages.BindCall):
-            # Register the binding, then serve the piggybacked call —
-            # a BindCall carries the same fields a Call does.
-            self._register_binding(connection, message)
-            self._serve_call(connection, message)
+        if mtype is messages.FastCall or mtype is messages.BoundCall:
+            self._serve_call(connection, message,
+                             connection.bound_methods.get(message.method_id))
+        elif mtype is messages.BindCall:
+            self._serve_call(connection, message,
+                             self._register_binding(connection, message))
         elif isinstance(message, messages.Dirty):
             ok, error = self._apply_dirty(connection.peer_id, message)
             self._reply(connection, messages.DirtyAck(message.call_id, ok, error))
@@ -1147,34 +1119,6 @@ class Space:
         # For surrogate pins, dropping the strong reference is all the
         # release there is; local collection handles the rest.
 
-    def _serve_call(self, connection: Connection, call: messages.Call) -> None:
-        try:
-            obj = self._resolve_target(call.target)
-            method = self._resolve_method(obj, call.method)
-            args, kwargs = self._decode_args(connection, call.args_pickle)
-            profile = self._hotpath
-            if profile is None:
-                result = method(*args, **kwargs)
-            else:
-                start = time.perf_counter_ns()
-                result = method(*args, **kwargs)
-                profile.user_code_ns += time.perf_counter_ns() - start
-                profile.user_code_calls += 1
-            if self._leases_enabled:
-                self._invalidate_after_write(obj, call.method)
-            self._send_result(connection, call.call_id, result)
-            return
-        except NetObjError as exc:
-            reply = messages.Fault(
-                call.call_id, type(exc).__name__, str(exc), ""
-            )
-        except Exception as exc:  # noqa: BLE001 - application exception
-            reply = messages.Fault(
-                call.call_id, type(exc).__name__, str(exc),
-                traceback.format_exc(),
-            )
-        self._reply(connection, reply)
-
     def _decode_args(self, connection: Connection, args_pickle):
         if args_pickle == EMPTY_ARGS_PICKLE:
             # Mirror of the void-call fast path in _invoke_remote.
@@ -1194,7 +1138,7 @@ class Space:
 
     def _serve_stream_open(self, connection: Connection,
                            message: messages.StreamOpen) -> None:
-        """STREAM_OPEN (v7): resolve the stream object and hand it to
+        """STREAM_OPEN: resolve the stream object and hand it to
         the connection's stream table, which starts the pump (reader)
         or the drainer (writer).  The object must offer the method the
         plane will call as part of its remote surface — a stream frame
@@ -1205,18 +1149,18 @@ class Space:
                 raise ProtocolError(
                     f"write window of {message.credit} bytes exceeds "
                     f"{MAX_WINDOW}")
-            obj = self._resolve_target(message.target)
-            self._resolve_method(obj, "write" if writing else "read")
+            obj = self._resolve_entry(message.target).obj
+            self._check_method(type(obj), "write" if writing else "read")
         except NetObjError as exc:
             connection.streams.refuse(
                 message.stream_id, type(exc).__name__, str(exc))
             return
         connection.streams.start(message.stream_id, obj)
 
-    # -- the v5 call fast lane: serving bound calls ------------------------------------
+    # -- the call pipeline: CALL_BIND, CALL_BOUND, CALL_FAST --------------------------
 
     def _register_binding(self, connection: Connection,
-                          message: messages.BindCall) -> None:
+                          message: messages.BindCall) -> _MethodBinding:
         """CALL_BIND: intern ``method_id`` for this connection.
 
         Resolution runs once, here; a failure is recorded in the
@@ -1225,52 +1169,48 @@ class Space:
         dropped object's index is never reused, and a class's remote
         surface is fixed at definition time).
         """
-        binding = _MethodBinding(message.method)
-        target = message.target
-        if target.owner != self.space_id:
-            binding.fault = (NoSuchObjectError, f"not the owner of {target}")
+        name = message.method
+        binding = _MethodBinding(message.target, name)
+        try:
+            entry = self._resolve_entry(message.target)
+            cls = type(entry.obj)
+            self._check_method(cls, name)
+        except NetObjError as exc:
+            binding.fault = (type(exc), str(exc))
         else:
-            entry = self.object_table.exported_entry(target.index)
-            if entry is None:
-                binding.fault = (NoSuchObjectError,
-                                 f"no such object: {target}")
-            else:
-                cls = type(entry.obj)
-                if message.method not in remote_method_set(cls):
-                    binding.fault = (
-                        NoSuchMethodError,
-                        f"{cls.__qualname__} has no remote method "
-                        f"{message.method!r}",
-                    )
-                else:
-                    binding.entry_ref = weakref.ref(entry)
-                    raw = getattr(cls, message.method, None)
-                    if type(raw) is FunctionType:
-                        # Ordinary def: calling ``func(obj, *args)``
-                        # is exactly ``obj.method(*args)`` minus the
-                        # per-call bound-method allocation.
-                        binding.func = raw
-                    binding.quick = message.method in quick_method_set(cls)
-                    reads = reads_method_set(cls)
-                    binding.invalidates = (
-                        bool(reads) and message.method not in reads
-                    )
+            binding.entry_ref = weakref.ref(entry)
+            # The attribute as the class dict holds it: ``getattr``
+            # would unwrap a staticmethod into a plain function that
+            # must not be handed ``obj``.
+            raw = next((klass.__dict__[name] for klass in cls.__mro__
+                        if name in klass.__dict__), None)
+            if type(raw) is FunctionType:
+                # Ordinary def: calling ``func(obj, *args)`` is exactly
+                # ``obj.method(*args)`` minus the per-call bound-method
+                # allocation.
+                binding.func = raw
+            binding.quick = name in quick_method_set(cls)
+            reads = reads_method_set(cls)
+            binding.invalidates = bool(reads) and name not in reads
         connection.bound_methods[message.method_id] = binding
-        connection.bound_targets.setdefault(target.index, []).append(
+        connection.bound_targets.setdefault(message.target.index, []).append(
             message.method_id)
         connection.bound_high = max(connection.bound_high, message.method_id)
+        return binding
 
-    def _bound_target(self, connection: Connection, message):
-        """Resolve a CALL_BOUND/CALL_FAST to ``(binding, obj)``.
+    @staticmethod
+    def _bound_object(connection: Connection, method_id: int,
+                      binding: Optional[_MethodBinding]) -> NetObj:
+        """The object a call through ``method_id`` targets.
 
-        Raises the recorded bind-time fault, or NoSuchObjectError once
-        the entry's weakref has died (the collector reclaimed the
-        object after the peer's clean)."""
-        binding = connection.bound_methods.get(message.method_id)
+        Raises the binding's recorded bind-time fault, NoSuchMethodError
+        for an id never bound on this connection, or NoSuchObjectError
+        once the binding was evicted (the peer's clean) or its entry's
+        weakref died (the collector reclaimed the object)."""
         if binding is None:
-            if message.method_id > connection.bound_high:
+            if method_id > connection.bound_high:
                 raise NoSuchMethodError(
-                    f"unknown method binding {message.method_id} "
+                    f"unknown method binding {method_id} "
                     "(bound call without a preceding CALL_BIND)"
                 )
             entry = None  # bound once, evicted with the peer's clean
@@ -1280,16 +1220,29 @@ class Space:
             entry = binding.entry_ref()
         if entry is None:
             raise NoSuchObjectError(
-                f"object bound to method id {message.method_id} "
+                f"object bound to method id {method_id} "
                 "is no longer exported"
             )
-        return binding, entry.obj
+        return entry.obj
 
-    def _serve_bound_call(self, connection: Connection,
-                          call: messages.BoundCall) -> None:
+    def _serve_call(self, connection: Connection, call,
+                    binding: Optional[_MethodBinding]) -> None:
+        """Serve one call: binding → decode args → run → invalidate →
+        encode, for every call frame.
+
+        The frame type decides only two things: CALL_FAST carries typed
+        scalar arguments (no unpickling, so no nested dirty call — it
+        may run on the frame-delivering thread, see :meth:`_try_inline`)
+        and is answered with RESULT_FAST when the value allows it;
+        CALL_BIND and CALL_BOUND carry an args pickle and get a pickled
+        RESULT.  Every failure is a FAULT."""
         try:
-            binding, obj = self._bound_target(connection, call)
-            args, kwargs = self._decode_args(connection, call.args_pickle)
+            obj = self._bound_object(connection, call.method_id, binding)
+            fast = type(call) is messages.FastCall
+            if fast:
+                args, kwargs = decode_scalar_args(call.args_wire), _NO_KWARGS
+            else:
+                args, kwargs = self._decode_args(connection, call.args_pickle)
             func = binding.func
             profile = self._hotpath
             if profile is not None:
@@ -1303,7 +1256,7 @@ class Space:
                 profile.user_code_calls += 1
             if self._leases_enabled and binding.invalidates:
                 self._invalidate_after_write(obj, binding.method)
-            self._send_result(connection, call.call_id, result)
+            self._send_result(connection, call.call_id, result, fast)
             return
         except NetObjError as exc:
             reply = messages.Fault(
@@ -1315,69 +1268,6 @@ class Space:
                 traceback.format_exc(),
             )
         self._reply(connection, reply)
-
-    def _serve_fast_call(self, connection: Connection,
-                         call: messages.FastCall) -> None:
-        """CALL_FAST: typed scalar args, typed scalar result when the
-        value allows it.  May run on the frame-delivering thread (see
-        :meth:`_try_inline`) — nothing here unpickles, so argument
-        decode can never issue a nested dirty call."""
-        try:
-            binding, obj = self._bound_target(connection, call)
-            args = decode_scalar_args(call.args_wire)
-            func = binding.func
-            profile = self._hotpath
-            if profile is not None:
-                start = time.perf_counter_ns()
-            if func is not None:
-                result = func(obj, *args)
-            else:
-                result = getattr(obj, binding.method)(*args)
-            if profile is not None:
-                profile.user_code_ns += time.perf_counter_ns() - start
-                profile.user_code_calls += 1
-            if self._leases_enabled and binding.invalidates:
-                self._invalidate_after_write(obj, binding.method)
-            self._send_fast_result(connection, call.call_id, result)
-            return
-        except NetObjError as exc:
-            reply = messages.Fault(
-                call.call_id, type(exc).__name__, str(exc), ""
-            )
-        except Exception as exc:  # noqa: BLE001 - application exception
-            reply = messages.Fault(
-                call.call_id, type(exc).__name__, str(exc),
-                traceback.format_exc(),
-            )
-        self._reply(connection, reply)
-
-    def _send_fast_result(self, connection: Connection, call_id: int,
-                          result: object) -> None:
-        """RESULT_FAST when the value is scalar, the classic pickled
-        RESULT otherwise — the frames are self-describing, so the
-        client needs no foreknowledge of which lane the result took."""
-        buffer = connection.new_send_buffer()
-        base = len(buffer)
-        messages.encode_fast_result_prefix(buffer, call_id)
-        if not encode_scalar_result_into(buffer, result):
-            # Fast-lane method returned a non-scalar (a reference, a
-            # struct...): rewind to the pickle lane for this result.
-            del buffer[base:]
-            pickler = self._marshal.acquire_pickler(
-                self._codec_ctx(connection)
-            )
-            try:
-                messages.encode_result_prefix(buffer, call_id)
-                pickler.dump_into(result, buffer)
-            except BaseException:
-                connection.discard_send_buffer(buffer)
-                raise
-            finally:
-                self._marshal.release_pickler(pickler)
-        try:
-            connection.send_buffer(buffer)
-        except CommFailure:
-            pass  # peer vanished; nothing to tell it
 
     def _try_inline(self, connection: Connection, message) -> bool:
         """Connection inline hook: run a ``@quick`` bound typed call
@@ -1406,30 +1296,42 @@ class Space:
         if reactor is None or not reactor.try_acquire_inline():
             return False
         start = time.perf_counter_ns()
-        self._serve_fast_call(connection, message)
+        self._serve_call(connection, message, binding)
         if reactor.record_inline(time.perf_counter_ns() - start):
             binding.demoted = True
             self.inline_demotions += 1
         return True
 
     def _send_result(self, connection: Connection, call_id: int,
-                     result: object) -> None:
-        """Encode and send a Result as one frame buffer (mirror image
-        of the request path in :meth:`_invoke_remote`)."""
+                     result: object, fast: bool) -> None:
+        """Encode and send a call's result as one frame buffer (mirror
+        image of :meth:`_encode_call`): RESULT_FAST when ``fast`` and
+        the value is scalar, a pickled RESULT otherwise — the frames
+        are self-describing, so the client needs no foreknowledge of
+        which lane the result took."""
         buffer = connection.new_send_buffer()
-        if result is None:
+        if fast:
+            base = len(buffer)
+            messages.encode_fast_result_prefix(buffer, call_id)
+            fast = encode_scalar_result_into(buffer, result)
+            if not fast:
+                # A fast-lane method returned a non-scalar (a
+                # reference, a struct...): rewind to the pickle lane.
+                del buffer[base:]
+        if not fast:
             messages.encode_result_prefix(buffer, call_id)
-            buffer += NONE_PICKLE
-        else:
-            pickler = self._marshal.acquire_pickler(self._codec_ctx(connection))
-            try:
-                messages.encode_result_prefix(buffer, call_id)
-                pickler.dump_into(result, buffer)
-            except BaseException:
-                connection.discard_send_buffer(buffer)
-                raise
-            finally:
-                self._marshal.release_pickler(pickler)
+            if result is None:
+                buffer += NONE_PICKLE
+            else:
+                pickler = self._marshal.acquire_pickler(
+                    self._codec_ctx(connection))
+                try:
+                    pickler.dump_into(result, buffer)
+                except BaseException:
+                    connection.discard_send_buffer(buffer)
+                    raise
+                finally:
+                    self._marshal.release_pickler(pickler)
         try:
             connection.send_buffer(buffer)
         except CommFailure:
@@ -1542,7 +1444,7 @@ class Space:
         for lease in live:
             peer_conn = self.connection_to(lease.holder)
             future = None
-            if peer_conn is not None and peer_conn.version >= 4:
+            if peer_conn is not None:
                 request = messages.LeaseInvalidate(
                     peer_conn.next_call_id(), wirerep, lease.lease_id,
                     version,
@@ -1567,20 +1469,20 @@ class Space:
                 time.sleep(remaining)
             self.lease_table.retire(entry, lease.holder, lease)
 
-    def _resolve_target(self, target: WireRep) -> NetObj:
+    def _resolve_entry(self, target: WireRep) -> ExportedEntry:
         if target.owner != self.space_id:
             raise NoSuchObjectError(f"not the owner of {target}")
         entry = self.object_table.exported_entry(target.index)
         if entry is None:
             raise NoSuchObjectError(f"no such object: {target}")
-        return entry.obj
+        return entry
 
-    def _resolve_method(self, obj: NetObj, name: str):
-        if name not in remote_method_set(type(obj)):
+    @staticmethod
+    def _check_method(cls: type, name: str) -> None:
+        if name not in remote_method_set(cls):
             raise NoSuchMethodError(
-                f"{type(obj).__qualname__} has no remote method {name!r}"
+                f"{cls.__qualname__} has no remote method {name!r}"
             )
-        return getattr(obj, name)
 
     def _reply(self, connection: Connection, message) -> None:
         try:
@@ -1638,7 +1540,7 @@ class Space:
         or ``{"enabled": False}`` with ``admission="off"``), the
         dispatcher pool, the connection cache, the reactor
         (``frames_in``/``frames_out``/``wakeups``/
-        ``active_connections``/``paused_reads``), the v5 call fast lane
+        ``active_connections``/``paused_reads``), the call fast lane
         (``fastlane``: methods bound, fast-lane calls and per-call
         fallbacks, inline dispatches/demotions), the per-stage
         hot-path profile (``hotpath``, all-zero unless the space was

@@ -49,7 +49,7 @@ class Surrogate:
     def _invoke_read(self, method: str, args: tuple, kwargs: dict):
         """Invocation path for ``@reads`` methods: try the space's
         lease cache first, falling back to an ordinary remote call when
-        leasing is off, denied, or the peer predates protocol v4."""
+        leasing is off or denied."""
         space = getattr(self._invoker, "__self__", None)
         read = getattr(space, "_invoke_read", None)
         if read is None:

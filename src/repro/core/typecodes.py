@@ -1,5 +1,5 @@
 """Typecodes, the narrowest-surrogate rule, and the typed-argument
-wire codecs of the protocol v5 call fast lane.
+wire codecs of the call fast lane.
 
 Every :class:`~repro.core.netobj.NetObj` subclass has a *typecode* — a
 stable string naming the interface.  A marshaled reference carries the
@@ -9,8 +9,8 @@ knows.  This is the paper's type negotiation: the client gets "the
 narrowest surrogate for which it has stubs", and a client lacking the
 derived stubs can still talk to the object through a base interface.
 
-The second half of this module is the *typed argument fast lane*
-(protocol v5): methods whose signatures are scalar-only — declared
+The second half of this module is the *typed argument fast lane*:
+methods whose signatures are scalar-only — declared
 with :func:`wiretypes` or inferred from ``typing`` annotations at
 surrogate build time (:func:`fastlane_method_set`) — get their
 arguments and scalar results struct-packed straight into the pooled
@@ -18,7 +18,7 @@ frame buffer, bypassing the pickler/unpickler entirely.  The encoding
 is self-describing (each value carries a one-byte wire-type code), so
 the server never needs the signature: eligibility only gates which
 methods *attempt* the lane, and any non-conforming value at a call
-site falls back to the v4 pickle path for that call.
+site falls back to the pickle path for that call.
 """
 
 from __future__ import annotations
@@ -128,11 +128,11 @@ def typechain(cls: Type) -> List[str]:
     return chain
 
 
-# -- typed argument fast lane (protocol v5) ----------------------------------
+# -- typed argument fast lane -------------------------------------------------
 #
 # One typed value is ``wire-type code (u8) ‖ payload``; a fast-lane
 # argument tuple is ``argc (u8) ‖ argc × typed value``; a fast-lane
-# result is a single typed value.  See PROTOCOL.md, "Call fast lane".
+# result is a single typed value.  See PROTOCOL.md, "Bound calls".
 
 WT_NONE = 0x00   # no payload
 WT_TRUE = 0x01   # no payload

@@ -411,8 +411,6 @@ class DgcClient:
     def send_clean_batch(self, endpoints, claims) -> None:
         """Daemon step 2, batched: one attempt at delivering several
         claimed cleans bound for the same owner (may raise CommFailure).
-        Falls back to unit CLEAN frames below protocol v3 — the space
-        decides per connection; the daemon stays version-blind.
         """
         self.clean_calls_sent += len(claims)
         self._gc_request(

@@ -38,10 +38,10 @@ class GcConfig:
     #: Sweep period for expired transient entries.
     transient_sweep_interval: float = 1.0
     #: Upper bound on clean calls shipped to one owner in a single
-    #: CLEAN_BATCH frame (protocol v3).  1 disables batching: every
-    #: clean goes out as a unit CLEAN frame, as in v2.
+    #: CLEAN_BATCH frame.  1 disables batching: every clean goes out
+    #: as a unit CLEAN frame.
     clean_batch_max: int = 64
-    #: Owner-side cap on a read lease's lifetime (protocol v4), in
+    #: Owner-side cap on a read lease's lifetime, in
     #: seconds; also the TTL clients request by default.  The owner
     #: grants min(requested, cap).  Short enough that an unreachable
     #: holder delays a writer by at most this long.

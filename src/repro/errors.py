@@ -123,7 +123,6 @@ _FAULT_KINDS = {
     "NarrowingError": NarrowingError,
     "UnmarshalError": UnmarshalError,
     "CommFailure": CommFailure,
-    "ServerBusy": ServerBusy,
 }
 
 
@@ -132,7 +131,10 @@ def exception_for_fault(kind: str, message: str,
     """The exception a caller raises for a failure that crossed the
     wire as ``kind``/``message`` (a FAULT reply, a STREAM_END fault):
     our own error types come back as themselves, anything else as
-    :class:`RemoteError`."""
+    :class:`RemoteError`.  ``ServerBusy`` is deliberately not among
+    them: it promises the call did not run, which only a BUSY frame
+    (or a refused STREAM_OPEN) can say — a FAULT of that kind is a
+    shed the remote method itself ran into."""
     known = _FAULT_KINDS.get(kind)
     if known is not None:
         return known(message)

@@ -1,6 +1,6 @@
 """Lease snapshots: capturing and replaying an object's read state.
 
-A read lease (protocol v4) ships a *snapshot* of an exported object's
+A read lease ships a *snapshot* of an exported object's
 lease-safe state to the holder, which rebuilds a local *replica* and
 runs ``@reads`` methods against it.  This module owns the two halves
 of that round trip; the actual byte encoding is the ordinary pickle

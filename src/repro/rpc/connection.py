@@ -22,18 +22,11 @@ Calls come in two shapes over the same call-id multiplexing:
   :class:`~repro.rpc.futures.CallFuture` immediately, so one thread
   can keep hundreds of calls in flight per connection.
 
-The handshake negotiates the protocol version down to
-``min(ours, peer's)`` (floor :data:`~repro.wire.protocol.MIN_PROTOCOL_VERSION`),
-so a v5 runtime interoperates with a v2, v3 or v4 peer — in either
-dial direction — by never sending the newer frames (``CLEAN_BATCH`` is
-v3; the read-lease frames ``LEASE_REQ`` .. ``LEASE_INVALIDATE_ACK``
-are v4; the call-fast-lane frames ``CALL_BIND`` .. ``RESULT_FAST`` are
-v5; ``BUSY`` is v6; the bulk-data plane's ``STREAM_*`` frames, routed
-to ``self.streams``, are v7).  The HELLO's legacy version field announces our floor, which a
-genuine pre-negotiation v2 peer accepts under its strict equality
-check; the real maximum rides in a trailing extension field old
-decoders ignore (see :class:`~repro.rpc.messages.Hello`).  The agreed
-version is ``self.version``.
+There is one protocol version,
+:data:`~repro.wire.protocol.PROTOCOL_VERSION`: the handshake refuses a
+peer that announces anything lower, so every frame in
+:mod:`repro.rpc.messages` may be sent on every connection.  The
+bulk-data plane's ``STREAM_*`` frames are routed to ``self.streams``.
 """
 
 from __future__ import annotations
@@ -93,23 +86,13 @@ _GC_PLANE_TAGS = frozenset({
 #: as requests and never shed (STREAM_OPEN is the admission point).
 _STREAM_FRAME_TAGS = protocol.STREAM_TAGS - {protocol.STREAM_OPEN}
 
-#: Request tags whose *pre-v6* reply handlers digest a FAULT: the call
-#: plane raises it as RemoteError, and a LEASE_REQ caller treats any
-#: non-grant reply as a per-RPC fallback.  Every other pre-v6 plane
-#: asserts on its expected ack type, so a shed there must be answered
-#: by silence (the peer's own timeout/retry machinery recovers).
-_FAULT_OK_TAGS = frozenset({
-    protocol.CALL, protocol.CALL_BIND, protocol.CALL_BOUND,
-    protocol.CALL_FAST, protocol.LEASE_REQ,
-})
-
 
 class Connection:
     """One handshaken channel, fed frames by the space's reactor.
 
     The handshake itself is synchronous on the constructing thread
     (dialer thread outbound, the listener's on-connect thread inbound);
-    only after version negotiation does the channel join the event
+    only after the version check does the channel join the event
     machinery.  With a ``reactor``, a selectable channel goes
     nonblocking under the shared selector thread and anything else gets
     a :class:`ChannelPump` bridge; without one (standalone use, as in
@@ -126,7 +109,6 @@ class Connection:
         on_close: Optional[Callable[["Connection"], None]] = None,
         outbound: bool = True,
         handshake_timeout: float = 10.0,
-        max_version: int = protocol.PROTOCOL_VERSION,
         reactor: Optional[Reactor] = None,
         inline_handler: Optional[
             Callable[["Connection", messages.Message], bool]
@@ -140,7 +122,6 @@ class Connection:
         self._dispatcher = dispatcher
         self._handle_request = handle_request
         self._on_close = on_close
-        self._max_version = max_version
         self._pending: dict[int, CallFuture] = {}
         self._pending_lock = threading.Lock()
         self._pending_free: list[CallFuture] = []
@@ -151,17 +132,18 @@ class Connection:
         self._reactor = reactor
         self._inline_handler = inline_handler
         self._profile = profile
-        # v5 method-id interning tables (see PROTOCOL.md, "Protocol
-        # version 5").  Each direction allocates its own ids, exactly
-        # like call ids, so the two never collide.
+        # Method-id interning tables (see PROTOCOL.md, "Bound calls").
+        # Each direction allocates its own ids, exactly like call ids,
+        # so the two never collide.
         # A binding lives as long as the reference it was made through:
         # the client drops it when it sends the surrogate's clean call,
         # the owner when the client leaves the object's dirty set.
         #: Our outbound bindings: wirerep -> {method: method id the
         #: peer has *confirmed* (the CALL_BIND frame reached the wire)}.
         self.method_ids: dict = {}
-        #: The peer's bindings: method id -> whatever the owning
-        #: space's request handler registered at CALL_BIND time;
+        #: The peer's bindings: method id -> the binding the owning
+        #: space's request handler registered at CALL_BIND time (its
+        #: ``target`` wireRep keys the per-target bulkhead);
         #: ``bound_targets`` lists the ids per object index, and
         #: ``bound_high`` is the largest id ever bound (an unknown id
         #: at or below it was evicted, not never announced).
@@ -176,8 +158,6 @@ class Connection:
         #: True when the close was a negotiated goodbye (Bye/EOF seen or
         #: sent) rather than a failure — CommFailure diagnostics only.
         self.orderly = False
-        #: Protocol version agreed at HELLO (set by ``_handshake``).
-        self.version: int = max_version
         self.peer_id: Optional[SpaceID] = None
         #: Slot for the owning space's per-connection codec context
         #: (set lazily by Space; the connection itself never reads it).
@@ -196,7 +176,7 @@ class Connection:
         #: so the first few frames of a very fast peer may slip past
         #: admission — a benign, bounded slip.
         self._gauge = None
-        #: The bulk-data plane's streams on this connection (v7).
+        #: The bulk-data plane's streams on this connection.
         self.streams = StreamTable(
             self, dispatcher,
             stream_stats if stream_stats is not None else StreamStats(),
@@ -240,47 +220,32 @@ class Connection:
     # -- handshake ------------------------------------------------------------
 
     def _handshake(self, outbound: bool, timeout: float) -> None:
-        """HELLO/HELLO_ACK exchange with downward version negotiation.
+        """HELLO/HELLO_ACK exchange, refusing any peer below our version.
 
-        Both frames carry two versions: the legacy ``version`` field,
-        which pre-negotiation (v2) peers check with strict equality,
-        and the trailing ``max_version`` extension those peers ignore.
-        We announce our floor in the legacy field — so a genuine v2
-        acceptor sees exactly the HELLO it expects and interops at v2
-        in *either* dial direction — and negotiate the real version as
-        ``min(peer max, our max)`` from the extension (absent trailing
-        bytes mean a v2 peer, whose max is its legacy field).
-
-        The acceptor replies even when it is about to reject a
-        below-floor peer, so that peer fails fast with a version error
-        instead of timing out on a silently closed channel.
+        Both frames announce :data:`~repro.wire.protocol.PROTOCOL_VERSION`
+        in both version fields (see :class:`~repro.rpc.messages.Hello`);
+        the peer's ``max_version`` is what we check.  The acceptor
+        replies even when it is about to reject an older peer, so that
+        peer fails fast instead of timing out on a silently closed
+        channel.
         """
-        mine = self._max_version
-        base = min(mine, protocol.MIN_PROTOCOL_VERSION)
+        nickname = self._local_id.nickname
         try:
             if outbound:
-                self.send(messages.Hello(
-                    self._local_id, self._local_id.nickname, base, mine
-                ))
+                self.send(messages.Hello(self._local_id, nickname))
                 reply = self._expect_handshake(messages.HelloAck, timeout)
-                agreed = min(reply.max_version, mine)
             else:
                 reply = self._expect_handshake(messages.Hello, timeout)
-                agreed = min(reply.max_version, mine)
-                self.send(messages.HelloAck(
-                    self._local_id, self._local_id.nickname,
-                    min(agreed, base), agreed
-                ))
+                self.send(messages.HelloAck(self._local_id, nickname))
         except CommFailure:
             self._channel.close()
             raise
-        if agreed < protocol.MIN_PROTOCOL_VERSION:
+        if reply.max_version < protocol.PROTOCOL_VERSION:
             self._channel.close()
             raise ProtocolError(
-                f"no common protocol version: ours {mine}, "
-                f"peer announced {reply.max_version}"
+                f"peer speaks protocol {reply.max_version}, "
+                f"this runtime only {protocol.PROTOCOL_VERSION}"
             )
-        self.version = agreed
         self.peer_id = reply.space_id
 
     def _expect_handshake(self, expected_type, timeout: float):
@@ -301,7 +266,7 @@ class Connection:
         return next(self._call_ids)
 
     def next_method_id(self) -> int:
-        """Allocate an outbound method id (v5 interning).  Ids are
+        """Allocate an outbound method id (interning).  Ids are
         never reused; a racing duplicate bind for the same method is
         harmless — the peer registers both ids and ``method_ids``
         settles on whichever publishes first."""
@@ -487,7 +452,7 @@ class Connection:
         profile = self._profile
         start = time.perf_counter_ns() if profile is not None else 0
         try:
-            # memoryview: a decoded Call/Result's pickle is a
+            # memoryview: a decoded call/result's pickle is a
             # zero-copy slice of the frame buffer.
             message = messages.decode(memoryview(frame))
         except Exception as exc:  # corrupt frame: drop connection
@@ -533,7 +498,7 @@ class Connection:
             if reason is not None:
                 self._shed(message, reason, "shed_rate")
                 return
-        # The v5 inline fast lane: let the owning space run a bound
+        # The inline fast lane: let the owning space run a bound
         # typed call right here on the delivering thread (budgeted —
         # see Reactor.try_acquire_inline).  False means "dispatch
         # normally"; the handler itself never blocks unboundedly.
@@ -589,7 +554,7 @@ class Connection:
             if bkey is not None:
                 admission.bulkhead_leave(bkey)
             admission.count("shed_shutdown")
-            self._send_shed_reply(call_id, "shutting down", tag)
+            self._send_shed_reply(call_id, "shutting down")
 
         task.on_shed = on_shed
         if not self._dispatcher.submit(task, shard=self._shard,
@@ -651,45 +616,35 @@ class Connection:
 
     def _bulkhead_key(self, message: messages.Message):
         """The per-target quota bucket a request counts against: the
-        wireRep for classic envelopes, the (connection, method id)
-        pair for bound/fast calls whose target lives in the binding."""
+        target wireRep, read from the envelope or — for bound calls —
+        from the binding, so every frame for one object shares one
+        bucket across connections.  An unknown or evicted binding has
+        no key: its call faults before any user code runs."""
         target = getattr(message, "target", None)
-        if target is not None:
-            return target
-        method_id = getattr(message, "method_id", None)
-        if method_id is not None:
-            return (id(self), method_id)
-        return None
+        if target is None:
+            binding = self.bound_methods.get(
+                getattr(message, "method_id", None))
+            if binding is not None:
+                target = binding.target
+        return target
 
     def _shed(self, message: messages.Message, reason: str,
               counter: str) -> None:
-        """Refuse ``message``: count it and answer BUSY (or the FAULT
-        fallback) when the request carries a call id."""
+        """Refuse ``message``: count it and answer BUSY when the
+        request carries a call id."""
         admission = self._admission
         if admission is not None:
             admission.count(counter)
-        self._send_shed_reply(getattr(message, "call_id", None), reason,
-                              message.tag)
+        self._send_shed_reply(getattr(message, "call_id", None), reason)
 
-    def _send_shed_reply(self, call_id: Optional[int], reason: str,
-                         tag: Optional[int] = None) -> None:
+    def _send_shed_reply(self, call_id: Optional[int], reason: str) -> None:
         if call_id is None:
             return  # a one-way message is shed by silence
         config = self._admission.config if self._admission is not None \
             else None
         retry_ms = config.retry_after_ms if config is not None else 50
         try:
-            if self.version >= protocol.BUSY_VERSION:
-                self.send(messages.Busy(call_id, reason, retry_ms))
-            elif tag is None or tag in _FAULT_OK_TAGS:
-                # Pre-v6 peers would tear the connection down on an
-                # unknown tag; FAULT has existed since the floor and
-                # our own clients map kind "ServerBusy" back to the
-                # same exception (see ``_complete``).
-                self.send(messages.Fault(call_id, "ServerBusy", reason, ""))
-            # else: a pre-v6 plane whose reply handler expects exactly
-            # its ack type (dirty/clean-batch assert on it) — shed by
-            # silence and let the peer's retry machinery recover.
+            self.send(messages.Busy(call_id, reason, retry_ms))
         except CommFailure:
             pass
 
@@ -699,18 +654,16 @@ class Connection:
         # atomic with respect to the pending table.  Done callbacks run
         # after the lock is released (they may issue new calls).
         #
-        # Shed notices — BUSY frames, or their FAULT fallback from a
-        # peer that negotiated below v6 — complete the future with a
-        # ServerBusy *failure* here, in the one place both blocking
-        # and async callers converge.
+        # A BUSY frame completes the future with a ServerBusy
+        # *failure* here, in the one place both blocking and async
+        # callers converge.  Only BUSY does: a FAULT of kind
+        # "ServerBusy" reports a shed *inside* the remote method (a
+        # nested call), so the call did run and is not retryable.
         failure: Optional[Exception] = None
-        rtype = type(reply)
-        if rtype is messages.Busy:
+        if type(reply) is messages.Busy:
             failure = ServerBusy(reply.reason, reply.retry_after_ms / 1000.0)
-        elif rtype is messages.Fault and reply.kind == "ServerBusy":
-            failure = ServerBusy(reply.message or "server busy")
-        if failure is not None and self._admission is not None:
-            self._admission.count("busy_received")
+            if self._admission is not None:
+                self._admission.count("busy_received")
         with self._pending_lock:
             future = self._pending.pop(reply.call_id, None)
             if future is None:
@@ -824,10 +777,9 @@ class Connection:
 
     @property
     def carries_streams(self) -> bool:
-        """May the bulk-data plane use this connection?  Both ends
-        speak v7 and the channel delivers in order, without loss."""
-        return (self.version >= protocol.STREAM_VERSION
-                and self._channel.ordered)
+        """May the bulk-data plane use this connection?  Only if the
+        channel delivers in order, without loss."""
+        return self._channel.ordered
 
     @property
     def closed(self) -> bool:

@@ -10,10 +10,10 @@ Encoding is write-into: every message appends itself to a caller-owned
 ``bytearray`` via ``encode_into`` (the hot path hands it a pooled frame
 buffer with the 4 length-prefix bytes already reserved); ``encode()``
 remains as a one-shot convenience wrapper.  ``decode`` accepts any
-bytes-like input, and CALL/RESULT carry their pickle as the *trailing*
-bytes of the frame — no length prefix — so the sender can stream the
-pickle straight into the frame buffer after the envelope, and the
-receiver can take a zero-copy ``memoryview`` slice of it.
+bytes-like input, and call/result frames carry their pickle as the
+*trailing* bytes of the frame — no length prefix — so the sender can
+stream the pickle straight into the frame buffer after the envelope,
+and the receiver can take a zero-copy ``memoryview`` slice of it.
 """
 
 from __future__ import annotations
@@ -82,28 +82,17 @@ class _Encodable:
 
 # -- envelope prefix writers (the zero-copy send path) -----------------------
 #
-# The hot path never materialises a Call/Result object on the way out:
+# The hot path never materialises a call/result object on the way out:
 # it writes the envelope prefix into the frame buffer and lets the
-# pickler append the payload in place.  ``Call.encode_into`` /
-# ``Result.encode_into`` delegate here so there is exactly one
+# pickler (or the typed scalar codec) append the payload in place.  Each
+# message's ``encode_into`` delegates here so there is exactly one
 # definition of each envelope.
-
-def encode_call_prefix(out: bytearray, call_id: int, target: WireRep,
-                       method: str) -> None:
-    """Write a CALL envelope; the args pickle follows as trailing bytes."""
-    out.append(protocol.CALL)
-    write_uvarint(out, call_id)
-    target.to_wire(out)
-    _write_str(out, method)
-
 
 def encode_result_prefix(out: bytearray, call_id: int) -> None:
     """Write a RESULT envelope; the result pickle follows as trailing bytes."""
     out.append(protocol.RESULT)
     write_uvarint(out, call_id)
 
-
-# -- v5 fast-lane envelope prefix writers -------------------------------------
 
 def encode_bind_call_prefix(out: bytearray, call_id: int, method_id: int,
                             target: WireRep, method: str) -> None:
@@ -144,26 +133,20 @@ def encode_fast_result_prefix(out: bytearray, call_id: int) -> None:
 
 @dataclass(frozen=True)
 class Hello(_Encodable):
-    """Handshake: announces protocol versions and the sender's identity.
+    """Handshake: announces the protocol version and the sender's identity.
 
-    ``version`` is the legacy field every peer understands — the
-    *base* version the sender is willing to speak, which pre-v3
-    implementations compared against their own version with strict
-    equality.  ``max_version`` rides as a trailing uvarint those old
-    decoders ignore (they stop after the nickname), announcing the
-    highest version the sender speaks.  A frame with no trailing bytes
-    came from a pre-v3 peer, so its max *is* its ``version``.
+    The frame carries the version twice — ``version`` after the tag and
+    ``max_version`` as a trailing uvarint after the nickname — and this
+    runtime puts :data:`~repro.wire.protocol.PROTOCOL_VERSION` in both.
+    The receiver reads ``max_version``; a frame with no trailing bytes
+    (as the oldest peers sent it) announces its ``version`` instead.
     """
 
     space_id: SpaceID
     nickname: str
     version: int = protocol.PROTOCOL_VERSION
-    max_version: int = 0
+    max_version: int = protocol.PROTOCOL_VERSION
     tag = protocol.HELLO
-
-    def __post_init__(self) -> None:
-        if self.max_version < self.version:
-            object.__setattr__(self, "max_version", self.version)
 
     def encode_into(self, out: bytearray) -> None:
         out.append(self.tag)
@@ -205,58 +188,16 @@ class Bye(_Encodable):
         return cls()
 
 
-class Call(_Encodable):
-    """Method invocation request.  ``args_pickle`` stays opaque here.
+class Result(_Encodable):
+    """Successful completion of a call.
 
     The pickle is the frame's trailing bytes (no length prefix), so a
-    decoded Call's ``args_pickle`` is a zero-copy view into the frame
-    buffer when the frame arrives as a ``memoryview``.
+    decoded Result's ``result_pickle`` is a zero-copy view into the
+    frame buffer when the frame arrives as a ``memoryview``.
 
     A plain ``__slots__`` class rather than a frozen dataclass: one is
-    constructed per incoming call, and the frozen-dataclass
+    constructed per reply, and the frozen-dataclass
     ``object.__setattr__`` dance costs several times a normal init.
-    """
-
-    __slots__ = ("call_id", "target", "method", "args_pickle")
-    tag = protocol.CALL
-
-    def __init__(self, call_id: int, target: WireRep, method: str,
-                 args_pickle) -> None:
-        self.call_id = call_id
-        self.target = target
-        self.method = method
-        self.args_pickle = args_pickle
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Call):
-            return (self.call_id == other.call_id
-                    and self.target == other.target
-                    and self.method == other.method
-                    and self.args_pickle == other.args_pickle)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"Call(call_id={self.call_id}, target={self.target}, "
-                f"method={self.method!r}, "
-                f"args_pickle=<{len(self.args_pickle)} bytes>)")
-
-    def encode_into(self, out: bytearray) -> None:
-        encode_call_prefix(out, self.call_id, self.target, self.method)
-        out += self.args_pickle
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "Call":
-        call_id, offset = read_uvarint(data, offset)
-        target, offset = WireRep.from_wire(data, offset)
-        method, offset = _read_str(data, offset)
-        return cls(call_id, target, method, _trailing(data, offset))
-
-
-class Result(_Encodable):
-    """Successful completion of a :class:`Call`.
-
-    Like :class:`Call`, the pickle is the frame's trailing bytes, and
-    like it this is a ``__slots__`` class — one per reply.
     """
 
     __slots__ = ("call_id", "result_pickle")
@@ -287,9 +228,9 @@ class Result(_Encodable):
 
 
 class BindCall(_Encodable):
-    """First call through a fresh method binding (protocol v5).
+    """First call through a fresh method binding.
 
-    The METHOD_BIND announcement rides the CALL itself: the frame
+    The METHOD_BIND announcement rides the call itself: the frame
     carries the sender-allocated ``method_id`` together with the full
     target wireRep and method name, plus the args pickle as trailing
     bytes.  The receiver resolves the binding once, caches the bound
@@ -340,7 +281,7 @@ class BindCall(_Encodable):
 
 
 class BoundCall(_Encodable):
-    """Steady-state bound call (protocol v5): the envelope is just
+    """Steady-state bound call: the envelope is just
     ``call_id, method_id`` — no wireRep, no method string — with the
     args pickle trailing."""
 
@@ -376,7 +317,7 @@ class BoundCall(_Encodable):
 
 
 class FastCall(_Encodable):
-    """Bound call whose arguments are typed scalars (protocol v5).
+    """Bound call whose arguments are typed scalars.
 
     ``args_wire`` is the trailing typed-argument encoding of
     :func:`repro.core.typecodes.encode_scalar_args_into` — the pickler
@@ -415,7 +356,7 @@ class FastCall(_Encodable):
 
 
 class FastResult(_Encodable):
-    """Typed scalar completion of a fast-lane call (protocol v5).
+    """Typed scalar completion of a fast-lane call.
 
     ``value_wire`` is one self-describing typed value
     (:func:`repro.core.typecodes.encode_scalar_result_into`); the
@@ -477,14 +418,11 @@ class Fault(_Encodable):
 
 @dataclass(frozen=True)
 class Busy(_Encodable):
-    """The request was shed under admission control (v6).
+    """The request was shed under admission control.
 
     A *reply* frame: it completes the caller's pending future with a
     :class:`~repro.errors.ServerBusy` failure instead of a result.
-    ``retry_after_ms`` is the server's backoff hint.  Never emitted to
-    a peer whose negotiated version is below
-    :data:`~repro.wire.protocol.BUSY_VERSION` — such peers get a FAULT
-    with kind ``"ServerBusy"`` instead.
+    ``retry_after_ms`` is the server's backoff hint.
     """
 
     call_id: int
@@ -610,13 +548,12 @@ class CleanAck(_Encodable):
 
 @dataclass(frozen=True)
 class CleanBatch(_Encodable):
-    """Several clean calls to one owner in one frame (protocol v3).
+    """Several clean calls to one owner in one frame.
 
     ``entries`` is a tuple of ``(target, seqno, strong)`` triples, each
     with exactly the semantics of a standalone :class:`Clean`.  The
     owner applies the entries independently (the per-entry seqno guard
     still holds), so a retried batch — same seqnos — is idempotent.
-    Only sent on connections that negotiated version ≥ 3.
     """
 
     call_id: int
@@ -726,7 +663,7 @@ class PingAck(_Encodable):
         return cls(call_id)
 
 
-# -- read leases (protocol v4) ----------------------------------------------
+# -- read leases -------------------------------------------------------------
 
 def encode_lease_grant_prefix(out: bytearray, call_id: int, lease_id: int,
                               ttl_ms: int, version: int) -> None:
@@ -747,8 +684,7 @@ class LeaseReq(_Encodable):
     """Client asks the owner for a read lease on ``target``.
 
     ``ttl_ms`` is the TTL the client would like; the owner may grant
-    less (its configured cap) but never more.  Only sent on
-    connections that negotiated version ≥ 4.
+    less (its configured cap) but never more.
     """
 
     call_id: int
@@ -937,7 +873,7 @@ class LeaseInvalidateAck(_Encodable):
         return cls(call_id)
 
 
-# -- bulk-data plane (protocol v7) --------------------------------------------
+# -- bulk-data plane ---------------------------------------------------------
 #
 # Stream frames carry no call id: the opener allocates a per-connection
 # stream id (odd from the dialing side, even from the accepting side,
@@ -962,7 +898,7 @@ def encode_stream_data_header(out: bytearray, stream_id: int) -> None:
 
 @dataclass(frozen=True)
 class StreamOpen(_Encodable):
-    """Bind ``stream_id`` to the stream object ``target`` (protocol v7).
+    """Bind ``stream_id`` to the stream object ``target``.
 
     ``credit`` is the byte window: for a read stream, how much the
     owner may send before the first STREAM_CREDIT; for a write stream,
@@ -1094,7 +1030,7 @@ class StreamEnd(_Encodable):
 
 
 Message = Union[
-    Hello, HelloAck, Bye, Call, Result, Fault, Busy,
+    Hello, HelloAck, Bye, Result, Fault, Busy,
     BindCall, BoundCall, FastCall, FastResult,
     Dirty, DirtyAck, Clean, CleanAck, CleanBatch, CleanBatchAck,
     CopyAck, Ping, PingAck,
@@ -1107,7 +1043,6 @@ _DECODERS = {
     protocol.HELLO: Hello.decode,
     protocol.HELLO_ACK: HelloAck.decode,
     protocol.BYE: Bye.decode,
-    protocol.CALL: Call.decode,
     protocol.RESULT: Result.decode,
     protocol.FAULT: Fault.decode,
     protocol.CALL_BIND: BindCall.decode,
@@ -1150,7 +1085,7 @@ def decode(data) -> Message:
     """Decode one frame into its message object.
 
     ``data`` may be ``bytes``, ``bytearray`` or ``memoryview``.  Pass
-    a ``memoryview`` to make the decoded Call/Result pickle a
+    a ``memoryview`` to make a decoded trailing payload a
     zero-copy slice of the frame (the connection reader does).
     """
     if not len(data):

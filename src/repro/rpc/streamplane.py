@@ -1,4 +1,4 @@
-"""The bulk-data plane: credit-windowed stream frames (protocol v7).
+"""The bulk-data plane: credit-windowed stream frames.
 
 The paper's surrogate stream refills and flushes its buffer with
 remote calls — one request, one pickle and one reply per chunk, the
@@ -45,7 +45,7 @@ from collections import deque
 from typing import Optional
 
 from repro.errors import (
-    CallTimeout, CommFailure, NetObjError, ProtocolError,
+    CallTimeout, CommFailure, NetObjError, ProtocolError, ServerBusy,
     exception_for_fault,
 )
 from repro.rpc import messages
@@ -597,6 +597,8 @@ class _Opened:
         if isinstance(end, Exception):
             raise end
         if end is not None and end.status == messages.END_FAULT:
+            if end.kind == "ServerBusy":
+                raise ServerBusy(end.message)  # the OPEN was shed
             raise exception_for_fault(end.kind, end.message)
 
 

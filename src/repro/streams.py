@@ -14,12 +14,13 @@ reproduces that design on Python file objects:
   and writes locally — the paper's "buffered surrogate stream".
 
 How the bytes travel is :func:`as_file`'s business, not the caller's.
-Toward a peer that speaks protocol v7 they ride the bulk-data plane
+Toward a remote owner they ride the bulk-data plane
 (:mod:`repro.rpc.streamplane`): credit-windowed stream frames the
 owner pumps ahead of the reader, so a transfer runs at the speed of
 the transport.  A concrete stream in the same space, or a surrogate
-whose owner predates v7, keeps the paper's arrangement — one remote
-``read``/``write`` call per ``buffer_size`` of data.
+reached over a channel that may reorder frames, keeps the paper's
+arrangement — one remote ``read``/``write`` call per ``buffer_size``
+of data.
 
 The stream objects are plain network objects either way, so their
 lifetime is managed by the distributed collector like everything
@@ -269,7 +270,7 @@ def _open_stream(space: Space, surrogate: Surrogate, direction: int,
         connection = space._conn_for_endpoints(surrogate._endpoints)
         if not connection.carries_streams:
             raise CommFailure(
-                "the stream's owner no longer speaks protocol v7")
+                "the stream's connection may reorder frames")
         try:
             return connection.streams.open(
                 direction, surrogate._wirerep, window, space.call_timeout)
@@ -283,8 +284,7 @@ def _open_stream(space: Space, surrogate: Surrogate, direction: int,
 def _plane_space(stream):
     """The space whose bulk-data plane reaches ``stream``'s owner, or
     None when the bytes must travel by remote calls: a concrete
-    stream, an owner that predates protocol v7, or a channel that
-    does not keep frames in order."""
+    stream, or a channel that does not keep frames in order."""
     if not isinstance(stream, Surrogate):
         return None
     space = getattr(stream._invoker, "__self__", None)
@@ -305,12 +305,13 @@ def as_file(stream, buffer_size: int = DEFAULT_CHUNK) -> BinaryIO:
 
     Readers come back as :class:`io.BufferedReader`, writers as
     :class:`io.BufferedWriter`; the buffer makes small application
-    reads/writes local.  A surrogate whose owner speaks protocol v7
-    moves its bytes on the bulk-data plane, in chunks and under a
-    window both derived from ``buffer_size``; otherwise — an older
-    owner, or a concrete stream of this space, mirroring the object
-    table's "no surrogate for the owner" rule — every ``buffer_size``
-    of data is one remote (or direct) ``read``/``write`` call.
+    reads/writes local.  A surrogate moves its bytes on the bulk-data
+    plane, in chunks and under a window both derived from
+    ``buffer_size``; otherwise — an owner reached over a channel that
+    may reorder frames, or a concrete stream of this space, mirroring
+    the object table's "no surrogate for the owner" rule — every
+    ``buffer_size`` of data is one remote (or direct)
+    ``read``/``write`` call.
     """
     reading = isinstance(stream, ReaderStream) or (
         hasattr(stream, "read") and not hasattr(stream, "write")

@@ -55,7 +55,7 @@ from repro.transport.base import Channel, SelectableChannel
 logger = logging.getLogger("repro.transport.reactor")
 
 
-# -- inline-dispatch budget (protocol v5 fast lane) ---------------------------
+# -- inline-dispatch budget (the call fast lane) ------------------------------
 #
 # A @quick method runs directly on the thread that delivered its frame
 # (reactor shard or channel pump), skipping both thread hand-offs of a

@@ -12,7 +12,6 @@ from repro.wire.wirerep import WireRep
 from repro.wire.framing import (
     BufferPool,
     FRAME_HEADER_SIZE,
-    FrameReader,
     MAX_FRAME_SIZE,
     finish_frame,
     new_frame,
@@ -28,7 +27,6 @@ __all__ = [
     "WireRep",
     "BufferPool",
     "FRAME_HEADER_SIZE",
-    "FrameReader",
     "MAX_FRAME_SIZE",
     "finish_frame",
     "new_frame",

@@ -185,34 +185,3 @@ class FrameAssembler:
         self._filled = 0
         return payload
 
-
-class FrameReader:
-    """Incremental frame decoder for socket readers.
-
-    Feed raw chunks with :meth:`feed`; completed frames come out of
-    :meth:`frames`.  This keeps the socket read loop free of blocking
-    ``recv_exact`` plumbing and copes with partial reads.
-    """
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    def feed(self, chunk: bytes) -> None:
-        self._buffer += chunk
-
-    def frames(self):
-        """Yield every complete frame currently buffered."""
-        while True:
-            if len(self._buffer) < _LEN_STRUCT.size:
-                return
-            (length,) = _LEN_STRUCT.unpack_from(self._buffer, 0)
-            if length > MAX_FRAME_SIZE:
-                raise ProtocolError(
-                    f"peer announced oversized frame ({length} bytes)"
-                )
-            total = _LEN_STRUCT.size + length
-            if len(self._buffer) < total:
-                return
-            payload = bytes(self._buffer[_LEN_STRUCT.size:total])
-            del self._buffer[:total]
-            yield payload

@@ -9,25 +9,9 @@ ordinary messages on the same channels as method invocations.
 
 from __future__ import annotations
 
-#: Version 7: the bulk-data plane — credit-windowed stream frames
-#: (STREAM_OPEN/DATA/CREDIT/END) that carry surrogate-stream bytes as
-#: raw trailing payloads, no pickle and no per-chunk request.  Version
-#: 6 added admission control — the BUSY shed frame, a reply that
-#: tells the caller the request was refused (not failed) with a
-#: retry-after hint.  Version 5 added the call fast lane — method-id
-#: interning (CALL_BIND/CALL_BOUND), typed scalar argument/result
-#: frames (CALL_FAST/RESULT_FAST) that bypass the pickler, and inline
-#: reactor dispatch for ``@quick`` methods.  Version 4 added the
-#: read-lease frames (LEASE_REQ .. LEASE_INVALIDATE_ACK).  Version 3
-#: added CLEAN_BATCH/CLEAN_BATCH_ACK (batched collector traffic).
-#: Version 2 introduced trailing pickles on CALL/RESULT (no varint
-#: length prefix), enabling single-buffer encode.
+#: The one protocol version this runtime speaks.  Both HELLO version
+#: fields carry it; a peer announcing anything lower is refused.
 PROTOCOL_VERSION = 7
-
-#: Oldest version we still speak.  HELLO negotiates down to
-#: ``min(ours, peer's)``; below this floor the handshake is rejected.
-#: A v2 peer simply never sees a CLEAN_BATCH frame.
-MIN_PROTOCOL_VERSION = 2
 
 # --- connection management -------------------------------------------------
 HELLO = 0x01          # handshake: protocol version + SpaceID + nickname
@@ -35,18 +19,19 @@ HELLO_ACK = 0x02      # handshake reply
 BYE = 0x03            # orderly shutdown notice
 
 # --- mutator (RPC) ---------------------------------------------------------
-CALL = 0x10           # method invocation request
+# 0x10 is retired (the unbound CALL of older versions): a peer sending
+# it is disconnected as undecodable.
 RESULT = 0x11         # successful completion, with pickled result
 FAULT = 0x12          # remote exception, with kind/message/traceback
 
-# --- call fast lane (v5) ---------------------------------------------------
+# --- calls: bound method ids and typed scalars ------------------------------
 CALL_BIND = 0x13      # first call through a binding: METHOD_BIND piggybacked
-                      # on the CALL (method_id + wireRep + name + args pickle)
+                      # on the call (method_id + wireRep + name + args pickle)
 CALL_BOUND = 0x14     # steady-state bound call: call_id + method_id + pickle
 CALL_FAST = 0x15      # bound call with typed scalar args (no pickle)
 RESULT_FAST = 0x16    # typed scalar result (no pickle)
 
-# --- admission control (v6) ------------------------------------------------
+# --- admission control -----------------------------------------------------
 BUSY = 0x17           # request shed under overload: reason + retry-after hint
 
 # --- distributed garbage collector ----------------------------------------
@@ -57,10 +42,10 @@ CLEAN_ACK = 0x23      # owner acknowledges the clean call
 COPY_ACK = 0x24       # receiver acknowledges receipt of a reference copy
 PING = 0x25           # owner probes a client believed to hold surrogates
 PING_ACK = 0x26       # client liveness reply
-CLEAN_BATCH = 0x27    # several clean calls for one owner in one frame (v3)
-CLEAN_BATCH_ACK = 0x28  # owner acknowledges a whole clean batch (v3)
+CLEAN_BATCH = 0x27    # several clean calls for one owner in one frame
+CLEAN_BATCH_ACK = 0x28  # owner acknowledges a whole clean batch
 
-# --- read leases (v4) ------------------------------------------------------
+# --- read leases -----------------------------------------------------------
 LEASE_REQ = 0x30        # client asks the owner for a read lease
 LEASE_GRANT = 0x31      # owner's reply: lease id/ttl/version + state snapshot
 LEASE_RENEW = 0x32      # client refreshes an expired/expiring lease
@@ -68,7 +53,7 @@ LEASE_RELEASE = 0x33    # client gives up a lease early (one-way)
 LEASE_INVALIDATE = 0x34  # owner tells a holder its cached state is stale
 LEASE_INVALIDATE_ACK = 0x35  # holder confirms it dropped the cached state
 
-# --- bulk-data plane (v7) --------------------------------------------------
+# --- bulk-data plane -------------------------------------------------------
 STREAM_OPEN = 0x40      # bind a stream id to a stream object's wireRep
 STREAM_DATA = 0x41      # stream id + raw trailing bytes (no pickle)
 STREAM_CREDIT = 0x42    # receiver grants the sender more byte credit
@@ -78,7 +63,6 @@ _NAMES = {
     HELLO: "HELLO",
     HELLO_ACK: "HELLO_ACK",
     BYE: "BYE",
-    CALL: "CALL",
     RESULT: "RESULT",
     FAULT: "FAULT",
     CALL_BIND: "CALL_BIND",
@@ -107,33 +91,8 @@ _NAMES = {
     STREAM_END: "STREAM_END",
 }
 
-#: Tags that belong to the distributed collector rather than the mutator.
-GC_TAGS = frozenset({DIRTY, DIRTY_ACK, CLEAN, CLEAN_ACK, COPY_ACK, PING,
-                     PING_ACK, CLEAN_BATCH, CLEAN_BATCH_ACK})
-
-#: Tags of the v4 read-lease protocol.  Never emitted to a peer whose
-#: negotiated version is below 4 — the surrogate silently falls back to
-#: per-call RPC instead.
-LEASE_TAGS = frozenset({LEASE_REQ, LEASE_GRANT, LEASE_RENEW, LEASE_RELEASE,
-                        LEASE_INVALIDATE, LEASE_INVALIDATE_ACK})
-
-#: Tags of the v5 call fast lane.  Never emitted to a peer whose
-#: negotiated version is below 5 — calls toward such a peer stay
-#: classic CALL/RESULT frames.
-FASTLANE_TAGS = frozenset({CALL_BIND, CALL_BOUND, CALL_FAST, RESULT_FAST})
-
-#: First protocol version that understands the BUSY shed frame.  To an
-#: older peer an unknown tag is a protocol violation (the decoder
-#: raises and the connection is torn down), so sheds toward pre-v6
-#: peers travel as a FAULT with kind ``"ServerBusy"`` instead — every
-#: version since the floor understands FAULT.
-BUSY_VERSION = 6
-
-#: Tags of the v7 bulk-data plane, and the first version that speaks
-#: them.  Never emitted to an older peer — ``as_file`` on such a
-#: connection keeps the per-chunk RPC refill/flush path.
+#: Tags of the bulk-data plane.
 STREAM_TAGS = frozenset({STREAM_OPEN, STREAM_DATA, STREAM_CREDIT, STREAM_END})
-STREAM_VERSION = 7
 
 
 def tag_name(tag: int) -> str:

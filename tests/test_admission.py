@@ -1,13 +1,14 @@
 """The bounded ingress pipeline: BUSY shedding, credit gauges, read
 throttling, bounded write backlogs and draining shutdown.
 
-Covers the v6 wire story (BUSY frame, FAULT fallback toward pre-v6
-peers, in both dial directions), the admission gauges at unit level
-(inflight budget pause/resume, token-bucket rate policing, bulkhead
-quotas), the bounded dispatcher (queue-full refusal, discard-drain
-shutdown with on_shed hooks), the capped TCP write backlog against a
-never-reading peer, the bounded in-process pipes, and the endpoint
-health demotion in the ConnectionCache.
+Covers the wire story (the BUSY frame, and that only BUSY means
+"shed": a shed a remote method itself ran into comes back as a remote
+error), the admission gauges at unit level (inflight budget
+pause/resume, token-bucket rate policing, bulkhead quotas) and the
+per-object bulkhead end to end, the bounded dispatcher (queue-full
+refusal, discard-drain shutdown with on_shed hooks), the capped TCP
+write backlog against a never-reading peer, the bounded in-process
+pipes, and the endpoint health demotion in the ConnectionCache.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import time
 import pytest
 
 from repro import NetObj, Space
-from repro.errors import CommFailure, ServerBusy
+from repro.errors import CommFailure, RemoteError, ServerBusy
 from repro.rpc import messages
 from repro.rpc.admission import (
     AdmissionConfig, AdmissionController, busy_backoff, retry_busy,
@@ -40,6 +41,40 @@ class Sleeper(NetObj):
     def nap(self, seconds: float) -> str:
         time.sleep(seconds)
         return "woke"
+
+
+class Front(NetObj):
+    """Counts its runs, then calls through to a backend."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.ran = 0
+
+    def transfer(self) -> str:
+        self.ran += 1
+        return self.backend.echo("moved")
+
+
+class Gate(NetObj):
+    """Holds callers while closed; records how many were inside at once."""
+
+    def __init__(self):
+        self.open = threading.Event()
+        self.open.set()
+        self.entered = threading.Event()
+        self._lock = threading.Lock()
+        self.inside = 0
+        self.peak = 0
+
+    def hold(self) -> str:
+        with self._lock:
+            self.inside += 1
+            self.peak = max(self.peak, self.inside)
+        self.entered.set()
+        self.open.wait(10)
+        with self._lock:
+            self.inside -= 1
+        return "done"
 
 
 class Blocker(NetObj):
@@ -69,12 +104,11 @@ class TestBusyWire:
         assert decoded.retry_after_ms == 50
 
     def test_busy_is_a_reply_and_gated_at_v6(self):
-        # BUSY completes pending futures (a reply tag) and must never
-        # be emitted below the version that introduced it: an unknown
-        # tag tears down a pre-v6 peer's connection.
+        # BUSY completes pending futures (a reply tag), and every peer
+        # of the one protocol version decodes it.
         assert protocol.BUSY in messages.REPLY_TAGS
-        assert protocol.BUSY_VERSION == 6
-        assert protocol.PROTOCOL_VERSION >= protocol.BUSY_VERSION
+        assert protocol.tag_name(protocol.BUSY) == "BUSY"
+        assert protocol.PROTOCOL_VERSION == 7
 
     def test_server_busy_exception_carries_hints(self):
         exc = ServerBusy("rate limit", 0.25)
@@ -323,35 +357,62 @@ class TestEndToEndShedding:
             # The client observed the sheds on its admission account.
             assert client.stats()["admission"]["busy_received"] >= 1
 
-    def test_pre_v6_client_gets_the_fault_fallback(self):
-        # A pinned-v5 client must never see a BUSY tag (it would tear
-        # the connection down); the shed arrives as FAULT kind
-        # "ServerBusy" and surfaces as the same exception.
-        server, client, endpoint = _pair(
-            "v5cli",
-            server_kwargs={"admission": AdmissionConfig(max_queued=0)},
-            client_kwargs={"protocol_version": 5},
-        )
-        with server, client:
-            with pytest.raises(ServerBusy):
-                client.import_object(endpoint, "anything")
-            connection = client.cache.peek(endpoint)
-            assert connection is not None and connection.version == 5
-            assert server.stats()["admission"]["shed_queue"] >= 1
-
-    def test_pre_v6_server_still_serves_v6_client(self):
-        # Other dial direction: a v6 client against a pinned-v5 server
-        # negotiates 5 and stays fully functional (no BUSY in either
-        # direction; nothing sheds at defaults).
-        server, client, endpoint = _pair(
-            "v5srv", server_kwargs={"protocol_version": 5},
-        )
-        with server, client:
-            server.serve("echo", Echo())
-            echo = client.import_object(endpoint, "echo")
-            assert echo.echo("x") == "x"
-            assert client.cache.get(endpoint).version == 5
+    def test_a_nested_shed_is_a_remote_error(self):
+        """ServerBusy promises the call did not run.  A method that ran
+        and then met a busy backend must not pass that promise on: its
+        caller gets RemoteError kind "ServerBusy" — no busy_received,
+        no endpoint strike, nothing for retry_busy to retry."""
+        backend = Space("adm-backend", listen=["tcp://127.0.0.1:0"],
+                        shm="off")
+        front, client, endpoint = _pair("nested")
+        with backend, front, client:
+            backend.serve("echo", Echo())
+            impl = Front(front.import_object(backend.endpoints[0], "echo"))
+            front.serve("front", impl)
+            remote = client.import_object(endpoint, "front")
+            backend.dispatcher.max_queued = 0   # the backend sheds all calls
+            with pytest.raises(RemoteError) as excinfo:
+                retry_busy(remote.transfer)
+            assert excinfo.value.kind == "ServerBusy"
+            assert impl.ran == 1
             assert client.stats()["admission"]["busy_received"] == 0
+            assert endpoint not in client.cache._busy_strikes
+            # The front itself was shed, and knows it.
+            assert front.stats()["admission"]["busy_received"] >= 1
+
+    def test_bulkhead_quota_holds_one_object_across_connections(self):
+        """``bulkhead_quota`` is per target object: two clients with
+        warmed (bound) method ids share the object's one slot, while a
+        second object on the same server is unaffected."""
+        from repro import async_call
+
+        hot, cold = Gate(), Gate()
+        server, client_a, endpoint = _pair(
+            "bulkhead",
+            server_kwargs={"admission": AdmissionConfig(bulkhead_quota=1)},
+        )
+        client_b = Space("adm-cli-bulkhead-b", shm="off")
+        with server, client_a, client_b:
+            server.serve("hot", hot)
+            server.serve("cold", cold)
+            hot_a = client_a.import_object(endpoint, "hot")
+            hot_b = client_b.import_object(endpoint, "hot")
+            cold_b = client_b.import_object(endpoint, "cold")
+            for gate in (hot_a, hot_b, cold_b):
+                assert gate.hold() == "done"    # binds the method id
+            hot.open.clear()
+            hot.entered.clear()
+            running = async_call(hot_a.hold)
+            try:
+                assert hot.entered.wait(10)
+                with pytest.raises(ServerBusy, match="target quota"):
+                    async_call(hot_b.hold).result(5)
+                assert cold_b.hold() == "done"
+            finally:
+                hot.open.set()
+            assert running.result(10) == "done"
+            assert hot.peak == 1
+            assert server.stats()["admission"]["shed_bulkhead"] == 1
 
     def test_inflight_budget_throttles_reads_not_calls(self):
         # A tiny inflight budget against a pipelined burst: every call
@@ -439,7 +500,6 @@ class TestUngaugedRefusal:
         the caller until its call timeout."""
         from repro.rpc.connection import Connection
         from repro.wire.ids import fresh_space_id
-        from repro.wire.wirerep import WireRep
 
         chan_a, chan_b = channel_pair()
         refusing = Dispatcher("refuse-all", max_queued=0)
@@ -461,10 +521,7 @@ class TestUngaugedRefusal:
         thread.join(5)
         try:
             assert result["b"]._gauge is None
-            call = messages.Call(
-                conn_a.next_call_id(),
-                WireRep(fresh_space_id(), 1), "m", b"",
-            )
+            call = messages.BoundCall(conn_a.next_call_id(), 1, b"")
             with pytest.raises(ServerBusy, match="queue full"):
                 conn_a.call(call, timeout=5)
         finally:
@@ -479,8 +536,7 @@ class TestGCPlaneExemption:
     LEASE_RELEASE) is bounded by the inflight gauge but never
     *refused*: a shed dirty breaks reference-listing safety, a shed
     ping makes a live peer look dead, and a shed one-way frame strands
-    the state it hands back.  Pre-v6 peers get silence (not FAULT) on
-    those planes — their reply handlers assert on the exact ack type."""
+    the state it hands back."""
 
     def test_dispatcher_force_bypasses_queue_cap_not_shutdown(self):
         pool = Dispatcher("force-test", max_queued=0)
@@ -508,7 +564,6 @@ class TestGCPlaneExemption:
         the pinger must never mistake a busy space for a dead one."""
         from repro.rpc.connection import Connection
         from repro.wire.ids import fresh_space_id
-        from repro.wire.wirerep import WireRep
 
         chan_a, chan_b = channel_pair()
         refusing = Dispatcher("refuse-calls", max_queued=0)
@@ -536,10 +591,7 @@ class TestGCPlaneExemption:
             reply = conn_a.call(
                 messages.Ping(conn_a.next_call_id()), timeout=5)
             assert isinstance(reply, messages.PingAck)
-            call = messages.Call(
-                conn_a.next_call_id(),
-                WireRep(fresh_space_id(), 1), "m", b"",
-            )
+            call = messages.BoundCall(conn_a.next_call_id(), 1, b"")
             with pytest.raises(ServerBusy, match="queue full"):
                 conn_a.call(call, timeout=5)
         finally:
@@ -591,57 +643,6 @@ class TestGCPlaneExemption:
             settle(holder, owner)
             assert wait_until(
                 lambda: owner.gc_stats()["exported"] == exported0 - 1)
-
-    def test_pre_v6_shed_replies_are_tag_aware(self):
-        """Below v6 a shed DIRTY/CLEAN_BATCH must be answered by
-        silence: the old client asserts the reply is its exact ack
-        type, so a FAULT fallback would crash it (only the call plane
-        and LEASE_REQ digest FAULT gracefully)."""
-        from repro.rpc.connection import Connection
-        from repro.wire import protocol
-        from repro.wire.ids import fresh_space_id
-
-        chan_a, chan_b = channel_pair()
-        pool_a = Dispatcher("a")
-        pool_b = Dispatcher("b")
-        result = {}
-
-        def make_b():
-            result["b"] = Connection(
-                chan_b, fresh_space_id("b"), pool_b,
-                lambda conn, msg: None, outbound=False,
-            )
-
-        thread = threading.Thread(target=make_b, daemon=True)
-        thread.start()
-        conn_a = Connection(
-            chan_a, fresh_space_id("a"), pool_a,
-            lambda conn, msg: None, outbound=True,
-        )
-        thread.join(5)
-        b = result["b"]
-        sent = []
-        try:
-            b.send = sent.append     # capture instead of hitting the wire
-            b.version = 5
-            b._send_shed_reply(7, "queue full", protocol.DIRTY)
-            b._send_shed_reply(8, "queue full", protocol.CLEAN_BATCH)
-            assert sent == []        # silence: the peer's retry recovers
-            b._send_shed_reply(9, "queue full", protocol.CALL)
-            b._send_shed_reply(10, "queue full", protocol.LEASE_REQ)
-            assert [type(m) for m in sent] == [
-                messages.Fault, messages.Fault,
-            ]
-            assert sent[0].kind == "ServerBusy"
-            b.version = 6
-            b._send_shed_reply(11, "queue full", protocol.DIRTY)
-            assert type(sent[-1]) is messages.Busy   # v6: BUSY everywhere
-        finally:
-            del b.send
-            conn_a.close()
-            b.close()
-            pool_a.shutdown()
-            pool_b.shutdown()
 
 
 class TestEndpointHealth:

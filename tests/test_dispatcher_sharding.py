@@ -127,10 +127,9 @@ class TestShardedDispatch:
 
 class TestSpaceDispatcherConfig:
     def test_space_plumbs_dispatcher_knobs(self):
-        with Space("knobs", dispatcher_max_workers=7,
-                   dispatcher_idle_timeout=0.25) as space:
+        with Space("knobs", dispatcher_max_workers=7) as space:
             assert space.dispatcher.max_workers == 7
-            assert space.dispatcher.idle_timeout == 0.25
+            assert space.dispatcher.idle_timeout == 5.0   # the default
 
     def test_gc_stats_exposes_saturated_submits(self):
         with Space("sat-stats") as space:

@@ -1,16 +1,16 @@
-"""The protocol v5 call fast lane.
+"""The call fast lane.
 
 Covers the three stacked per-call eliminations — method-id interning
 (CALL_BIND/CALL_BOUND), typed scalar argument/result codecs
 (CALL_FAST/RESULT_FAST), and budgeted inline reactor dispatch for
-``@quick`` methods — plus the interop story: a v5 space facing a v4
-peer must behave byte-for-byte like a v4 space, in either dial
-direction, and a below-floor peer must fail fast instead of
-deadlocking.  Also the zero-copy regression for ``Call.decode`` fed
-``bytes`` instead of a memoryview, the GC obligation that a
-server-side method binding never pins its object against the
-distributed collector, and the LEASE_RELEASE a lease holder sends
-ahead of its own write, which the same inline hook applies.
+``@quick`` methods — plus the parity of the one serve pipeline behind
+all three call frames (faults, unknown methods, evicted bindings,
+non-function callables, references returned on the fast lane).  Also
+the zero-copy regression for call decode fed ``bytes`` instead of a
+memoryview, the GC obligation that a server-side method binding never
+pins its object against the distributed collector, and the
+LEASE_RELEASE a lease holder sends ahead of its own write, which the
+same inline hook applies.
 """
 
 from __future__ import annotations
@@ -21,11 +21,14 @@ import time
 
 import pytest
 
-from repro import NetObj, ProtocolError, Space, quick, reads, wiretypes
+from repro import (
+    NetObj, NoSuchMethodError, NoSuchObjectError, RemoteError, Space, quick,
+    reads, wiretypes,
+)
 from repro.core import typecodes
 from repro.errors import UnmarshalError
+from repro.marshal.pickler import EMPTY_ARGS_PICKLE
 from repro.rpc import messages
-from repro.wire import protocol
 from repro.wire.ids import fresh_space_id
 from repro.wire.wirerep import WireRep
 from tests.helpers import settle, wait_until
@@ -150,7 +153,7 @@ class TestCallDecodeCopyDiscipline:
     def test_call_args_pickle_is_memoryview_from_bytes(self):
         rep = WireRep(fresh_space_id("own"), 3)
         out = bytearray()
-        messages.Call(7, rep, "m", b"PAYLOAD").encode_into(out)
+        messages.BindCall(7, 1, rep, "m", b"PAYLOAD").encode_into(out)
         decoded = messages.decode(bytes(out))
         assert isinstance(decoded.args_pickle, memoryview)
         assert bytes(decoded.args_pickle) == b"PAYLOAD"
@@ -480,39 +483,126 @@ class TestReleaseBeforeWrite:
             assert all(name.startswith("reactor-") for name in appliers)
 
 
-class TestVersionInterop:
-    def test_v5_dialer_to_v4_acceptor_never_uses_v5_frames(self):
-        server, client, endpoint = _pair(
-            "v4srv", server_kwargs={"protocol_version": 4}
-        )
-        with server, client:
-            server.serve("e", FastEcho())
-            e = client.import_object(endpoint, "e")
-            assert client.cache.get(endpoint).version == 4
-            assert e.add(2, 3) == 5
-            assert e.nothing() is None
-            assert e.anything({"k": [1]}) == {"k": [1]}
-            assert client.methods_bound == 0
-            assert client.fastlane_calls == 0
-            assert server.reactor.stats()["inline_dispatches"] == 0
+class _Shout:
+    """A callable class attribute that is not a function."""
 
-    def test_v4_dialer_to_v5_acceptor_is_served_classically(self):
-        server, client, endpoint = _pair(
-            "v4cli", client_kwargs={"protocol_version": 4}
-        )
-        with server, client:
-            server.serve("e", FastEcho())
-            e = client.import_object(endpoint, "e")
-            assert client.cache.get(endpoint).version == 4
-            assert e.add(2, 3) == 5
-            assert e.label(1, "a") == "a:1"
-            assert client.methods_bound == 0
-            assert server.reactor.stats()["inline_dispatches"] == 0
+    def __call__(self) -> str:
+        return "shout"
 
-    def test_below_floor_peer_fails_fast(self):
-        server, client, endpoint = _pair(
-            "floor", client_kwargs={"protocol_version": 1}
-        )
+
+class Parity(NetObj):
+    """One member per corner of the serve pipeline."""
+
+    shout = _Shout()
+
+    def boom(self) -> int:
+        raise ValueError("boom")
+
+    @staticmethod
+    def seven() -> int:
+        return 7
+
+    def token(self):
+        return Token()
+
+
+FRAMES = ("bind", "bound", "fast")
+
+
+class TestOnePipeline:
+    """CALL_BIND, CALL_BOUND and CALL_FAST are served by one pipeline:
+    each of its corners answers the same whichever frame carried the
+    call."""
+
+    @staticmethod
+    def send(client, endpoint, frame, wirerep, method, method_id=None):
+        """Invoke argument-less ``method`` on ``wirerep`` through one raw
+        frame of kind ``frame``; returns ``(connection, reply)``.  A
+        bound or fast call goes through ``method_id``, or through a
+        binding made first by a CALL_BIND whose own reply is dropped."""
+        conn = client.cache.get(endpoint)
+        if frame == "bind" or method_id is None:
+            method_id = conn.next_method_id()
+            reply = conn.call(messages.BindCall(
+                conn.next_call_id(), method_id, wirerep, method,
+                EMPTY_ARGS_PICKLE), timeout=10)
+            if frame == "bind":
+                return conn, reply
+        if frame == "bound":
+            request = messages.BoundCall(
+                conn.next_call_id(), method_id, EMPTY_ARGS_PICKLE)
+        else:
+            args = bytearray()
+            assert typecodes.encode_scalar_args_into(args, ())
+            request = messages.FastCall(
+                conn.next_call_id(), method_id, bytes(args))
+        return conn, conn.call(request, timeout=10)
+
+    def invoke(self, client, endpoint, frame, wirerep, method,
+               method_id=None):
+        conn, reply = self.send(client, endpoint, frame, wirerep, method,
+                                method_id)
+        return client._decode_reply(conn, reply)
+
+    @pytest.mark.parametrize("frame", FRAMES)
+    def test_application_exception_is_remote_error_with_traceback(
+            self, frame):
+        server, client, endpoint = _pair(f"exc-{frame}")
         with server, client:
-            with pytest.raises(ProtocolError):
-                client.import_object(endpoint, "e")
+            server.serve("p", Parity())
+            p = client.import_object(endpoint, "p")
+            with pytest.raises(RemoteError) as excinfo:
+                self.invoke(client, endpoint, frame, p._wirerep, "boom")
+            assert excinfo.value.kind == "ValueError"
+            assert 'raise ValueError("boom")' in \
+                excinfo.value.remote_traceback
+
+    @pytest.mark.parametrize("frame", FRAMES)
+    def test_unknown_method(self, frame):
+        server, client, endpoint = _pair(f"nomethod-{frame}")
+        with server, client:
+            server.serve("p", Parity())
+            p = client.import_object(endpoint, "p")
+            with pytest.raises(NoSuchMethodError, match="missing"):
+                self.invoke(client, endpoint, frame, p._wirerep, "missing")
+
+    @pytest.mark.parametrize("frame", FRAMES)
+    def test_evicted_binding_is_no_such_object(self, frame):
+        server, client, endpoint = _pair(f"evict-{frame}")
+        with server, client:
+            server.serve("f", TokenFactory())
+            factory = client.import_object(endpoint, "f")
+            token = factory.make()
+            assert token.ping() == "pong"
+            wirerep = token._wirerep
+            stale_id = client.cache.get(endpoint).method_ids[wirerep]["ping"]
+            del token
+            pygc.collect()
+            assert client.cleanup_daemon.wait_idle(10)
+            inbound = server.connection_to(client.space_id)
+            assert wait_until(lambda: stale_id not in inbound.bound_methods)
+            with pytest.raises(NoSuchObjectError):
+                self.invoke(client, endpoint, frame, wirerep, "ping",
+                            stale_id)
+
+    @pytest.mark.parametrize("frame", FRAMES)
+    @pytest.mark.parametrize("method, expected",
+                             [("seven", 7), ("shout", "shout")])
+    def test_non_function_callable(self, frame, method, expected):
+        server, client, endpoint = _pair(f"callable-{frame}-{method}")
+        with server, client:
+            server.serve("p", Parity())
+            p = client.import_object(endpoint, "p")
+            assert self.invoke(client, endpoint, frame, p._wirerep,
+                               method) == expected
+
+    @pytest.mark.parametrize("frame", FRAMES)
+    def test_returned_reference_travels_as_a_pickled_result(self, frame):
+        server, client, endpoint = _pair(f"ref-{frame}")
+        with server, client:
+            server.serve("p", Parity())
+            p = client.import_object(endpoint, "p")
+            conn, reply = self.send(client, endpoint, frame, p._wirerep,
+                                    "token")
+            assert type(reply) is messages.Result
+            assert client._decode_reply(conn, reply).ping() == "pong"

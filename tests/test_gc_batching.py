@@ -1,5 +1,5 @@
-"""Batched collector traffic: CLEAN_BATCH frames, version negotiation,
-resurrected entries, and the pipelined dirty prefetch."""
+"""Batched collector traffic: CLEAN_BATCH frames, resurrected entries,
+and the pipelined dirty prefetch."""
 
 import gc
 from dataclasses import dataclass
@@ -50,11 +50,11 @@ class Token(NetObj):
         return "pong"
 
 
-def _pair(name, client_kwargs=None):
+def _pair(name):
     server = repro.Space(f"srv-{name}")
     endpoint = server.add_listener(f"inproc://gcbatch-{name}")
     server.serve("factory", Factory())
-    client = repro.Space(f"cli-{name}", **(client_kwargs or {}))
+    client = repro.Space(f"cli-{name}")
     return server, client, endpoint
 
 
@@ -75,27 +75,6 @@ class TestCleanBatching:
             assert stats["clean_batches_sent"] >= 1
             assert wait_until(
                 lambda: server.stats()["gc"]["exported"] == exported - 40
-            )
-
-    def test_v2_peer_interop_without_batches(self, request):
-        server, client, endpoint = _pair(
-            request.node.name, client_kwargs={"protocol_version": 2}
-        )
-        with server, client:
-            factory = client.import_object(endpoint, "factory")
-            connection = client.cache.get(endpoint)
-            assert connection.version == 2
-            tokens = factory.make(20)
-            assert [t.ping() for t in tokens] == ["pong"] * 20
-            exported = server.stats()["gc"]["exported"]
-            del tokens
-            gc.collect()
-            assert client.cleanup_daemon.wait_idle(10)
-            settle(server, client)
-            # Everything reclaimed, but strictly over unit CLEAN frames.
-            assert client.stats()["gc"]["clean_batches_sent"] == 0
-            assert wait_until(
-                lambda: server.stats()["gc"]["exported"] == exported - 20
             )
 
     def test_live_entries_cancel_out_of_batches(self, request):

@@ -1,5 +1,5 @@
-"""Read leases (protocol v4): grants, cached hits, write invalidation,
-expiry racing CLEAN, holder crash, version interop and the codec."""
+"""Read leases: grants, cached hits, write invalidation, expiry racing
+CLEAN, holder crash and the codec."""
 
 import gc
 import threading
@@ -396,36 +396,6 @@ class TestExpiryAndClean:
         finally:
             client.shutdown()
             owner.shutdown()
-
-
-class TestVersionInterop:
-    def test_v3_peer_never_sees_lease_frames(self, request):
-        server, client, endpoint = _pair(
-            request.node.name, client_kwargs={"protocol_version": 3}
-        )
-        with server, client:
-            server.serve("gauge", Gauge(8))
-            gauge = client.import_object(endpoint, "gauge")
-            connection = client.cache.get(endpoint)
-            assert connection.version == 3
-            assert all(gauge.get() == 8 for _ in range(5))
-            assert gauge.incr() == 9
-            assert gauge.get() == 9
-            assert client.lease_stats()["lease_requests"] == 0
-            assert server.lease_stats()["leases_granted"] == 0
-            assert server.lease_stats()["leases_denied"] == 0
-
-    def test_v4_client_of_v3_owner_falls_back(self, request):
-        server, client, endpoint = _pair(
-            request.node.name, server_kwargs={"protocol_version": 3}
-        )
-        with server, client:
-            server.serve("gauge", Gauge(5))
-            gauge = client.import_object(endpoint, "gauge")
-            assert all(gauge.get() == 5 for _ in range(5))
-            # The connection agreed on v3, so no request ever went out.
-            assert client.lease_stats()["lease_requests"] == 0
-            assert server.lease_stats()["leases_granted"] == 0
 
 
 class TestLeaseCacheUnit:

@@ -46,7 +46,9 @@ def drip(assembler: FrameAssembler, stream: bytes, step: int):
 
 
 class TestFrameAssembler:
-    @pytest.mark.parametrize("step", [1, 2, 3, 7, 1024])
+    # step 1: every read is one byte (partial feeds); 1 << 20: every
+    # read gets all the assembler asks for (a bulk feed).
+    @pytest.mark.parametrize("step", [1, 2, 3, 7, 1024, 1 << 20])
     def test_reassembles_across_arbitrary_chunking(self, step):
         frames = [b"alpha", b"", b"b" * 300, b"\x00\x01\x02", b"last"]
         stream = b"".join(pack_frame(frame) for frame in frames)
@@ -75,6 +77,16 @@ class TestFrameAssembler:
         assembler.next_buffer()[:4] = header
         with pytest.raises(ProtocolError):
             assembler.advance(4)
+
+    def test_oversized_prefix_fed_bytewise_raises_on_its_last_byte(self):
+        assembler = FrameAssembler()
+        header = struct.pack("!I", 2**31)
+        for i in range(3):
+            assembler.next_buffer()[:1] = header[i:i + 1]
+            assert assembler.advance(1) is None
+        assembler.next_buffer()[:1] = header[3:]
+        with pytest.raises(ProtocolError):
+            assembler.advance(1)
 
 
 class TestReactorCore:

@@ -23,8 +23,9 @@ class TestMessageCodecs:
             messages.Hello(fresh_space_id("me"), "me"),
             messages.HelloAck(fresh_space_id("you"), "you"),
             messages.Bye(),
-            messages.Call(3, rep, "deposit", b"\x00\x01\x02"),
-            messages.Call(4, rep, "", b""),
+            messages.BindCall(3, 1, rep, "deposit", b"\x00\x01\x02"),
+            messages.BindCall(4, 2, rep, "", b""),
+            messages.BoundCall(5, 1, b"\x00\x01"),
             messages.Result(3, b"\x07"),
             messages.Fault(3, "ValueError", "bad amount", "Traceback ..."),
             messages.Dirty(9, rep, 12),
@@ -337,13 +338,12 @@ class TestConnection:
 
     def test_call_and_reply(self):
         def serve(conn, msg):
-            assert isinstance(msg, messages.Call)
+            assert isinstance(msg, messages.BoundCall)
             # args_pickle arrives as a zero-copy memoryview slice.
             conn.send(messages.Result(msg.call_id, bytes(msg.args_pickle) * 2))
 
         conn_a, _conn_b, _a, _b = connected_pair(handle_b=serve)
-        rep = WireRep(fresh_space_id(), 1)
-        reply = conn_a.call(messages.Call(conn_a.next_call_id(), rep, "m", b"xy"))
+        reply = conn_a.call(messages.BoundCall(conn_a.next_call_id(), 1, b"xy"))
         assert isinstance(reply, messages.Result)
         assert reply.result_pickle == b"xyxy"
         conn_a.close()
@@ -354,12 +354,11 @@ class TestConnection:
             conn.send(messages.Result(msg.call_id, msg.args_pickle))
 
         conn_a, _b, _x, _y = connected_pair(handle_b=serve)
-        rep = WireRep(fresh_space_id(), 1)
         outputs = {}
 
         def invoke(tagname):
             reply = conn_a.call(
-                messages.Call(conn_a.next_call_id(), rep, "m", tagname)
+                messages.BoundCall(conn_a.next_call_id(), 1, tagname)
             )
             outputs[tagname] = reply.result_pickle
 
@@ -376,22 +375,20 @@ class TestConnection:
 
     def test_call_timeout(self):
         conn_a, _b, _x, _y = connected_pair()  # peer never replies
-        rep = WireRep(fresh_space_id(), 1)
         with pytest.raises(CallTimeout):
             conn_a.call(
-                messages.Call(conn_a.next_call_id(), rep, "m", b""),
+                messages.BoundCall(conn_a.next_call_id(), 1, b""),
                 timeout=0.1,
             )
         conn_a.close()
 
     def test_peer_close_fails_pending_calls(self):
         conn_a, conn_b, _x, _y = connected_pair()
-        rep = WireRep(fresh_space_id(), 1)
         failures = []
 
         def invoke():
             try:
-                conn_a.call(messages.Call(conn_a.next_call_id(), rep, "m", b""))
+                conn_a.call(messages.BoundCall(conn_a.next_call_id(), 1, b""))
             except CommFailure as exc:
                 failures.append(exc)
 
@@ -666,24 +663,6 @@ class TestConnectionCache:
 
 
 class TestHandshakeEdges:
-    def test_version_below_floor_rejected(self):
-        from repro.wire.varint import write_uvarint
-
-        chan_a, chan_b = channel_pair()
-        dispatcher = Dispatcher()
-        # Hand-craft a HELLO announcing an ancient protocol version.
-        sid = fresh_space_id("old-peer")
-        frame = bytearray([0x01])
-        write_uvarint(frame, 1)
-        frame += sid.to_bytes()
-        write_uvarint(frame, 0)  # empty nickname
-        chan_a.send(bytes(frame))
-        with pytest.raises(ProtocolError):
-            Connection(
-                chan_b, fresh_space_id("b"), dispatcher,
-                lambda c, m: None, outbound=False,
-            )
-
     def test_newer_peer_negotiates_down(self):
         from repro.wire import protocol
         from repro.wire.varint import write_uvarint
@@ -691,7 +670,7 @@ class TestHandshakeEdges:
         chan_a, chan_b = channel_pair()
         dispatcher = Dispatcher()
         # A hypothetical future peer announces a higher version; the
-        # acceptor should agree on its own maximum, not reject.
+        # acceptor should speak its own version, not reject.
         sid = fresh_space_id("future-peer")
         frame = bytearray([0x01])
         write_uvarint(frame, protocol.PROTOCOL_VERSION + 7)
@@ -703,108 +682,65 @@ class TestHandshakeEdges:
             lambda c, m: None, outbound=False,
         )
         try:
-            assert conn.version == protocol.PROTOCOL_VERSION
+            assert conn.peer_id == sid
+            ack = messages.decode(memoryview(chan_a.recv(timeout=5)))
+            assert ack.version == ack.max_version == protocol.PROTOCOL_VERSION
         finally:
             conn.close()
 
     @staticmethod
-    def _old_peer_frame(tag, sid, version):
-        """A HELLO/HELLO_ACK exactly as a pre-negotiation peer sends it:
-        legacy version field only, no trailing max_version extension."""
+    def _old_peer_frame(tag, sid, version, max_version=None):
+        """A HELLO/HELLO_ACK as an older peer sends it: ``version`` in
+        the legacy field, then ``max_version`` as the trailing field —
+        or, from a genuine v2 peer, no trailing field at all."""
         from repro.wire.varint import write_uvarint
 
         frame = bytearray([tag])
         write_uvarint(frame, version)
         frame += sid.to_bytes()
         write_uvarint(frame, 0)  # empty nickname
+        if max_version is not None:
+            write_uvarint(frame, max_version)
         return bytes(frame)
 
-    def test_dial_to_genuine_v2_peer_negotiates_down(self):
-        # A *pre-negotiation* v2 acceptor acks with its own version (no
-        # trailing extension) and then closes unless the dialer's legacy
-        # version field equals its own exactly.  Our HELLO must pass
-        # that equality gate, and we must settle on version 2.
+    @pytest.mark.parametrize("hello", [(2, 6), (2, None)],
+                             ids=["max6", "genuine-v2"])
+    @pytest.mark.parametrize("outbound", [True, False],
+                             ids=["dial", "accept"])
+    def test_below_floor_peer_fails_fast(self, outbound, hello):
+        """A peer whose announced max is below our version — a HELLO
+        carrying max 6, or a genuine v2 HELLO with no trailing field —
+        is refused with ProtocolError during the handshake, in either
+        dial direction, well inside the handshake timeout.  The
+        acceptor answers HELLO_ACK before closing, so a rejected
+        dialer fails fast with its own version error."""
         from repro.wire import protocol
 
         chan_a, chan_b = channel_pair()
         dispatcher = Dispatcher()
-        sid = fresh_space_id("old-acceptor")
-        outcome = {}
+        old = self._old_peer_frame(0x02 if outbound else 0x01,
+                                   fresh_space_id("old-peer"), *hello)
+        if outbound:
+            def old_acceptor():
+                chan_a.recv(timeout=5)
+                chan_a.send(old)
 
-        def old_acceptor():
+            threading.Thread(target=old_acceptor, daemon=True).start()
+        else:
+            chan_a.send(old)
+        started = time.monotonic()
+        with pytest.raises(ProtocolError):
+            Connection(
+                chan_b, fresh_space_id("b"), dispatcher,
+                lambda c, m: None, outbound=outbound, handshake_timeout=10,
+            )
+        assert time.monotonic() - started < 5
+        if not outbound:
             frame = chan_a.recv(timeout=5)
-            hello = messages.decode(memoryview(frame))
-            chan_a.send(self._old_peer_frame(0x02, sid, 2))
-            # The legacy strict-equality check reads the legacy field
-            # and never sees the trailing extension.
-            outcome["accepted"] = hello.version == 2
-
-        thread = threading.Thread(target=old_acceptor, daemon=True)
-        thread.start()
-        conn = Connection(
-            chan_b, fresh_space_id("b"), dispatcher,
-            lambda c, m: None, outbound=True,
-        )
-        thread.join(timeout=5)
-        try:
-            assert conn.version == 2
-            assert outcome.get("accepted"), \
-                "legacy acceptor would reject our HELLO and close"
-            assert protocol.PROTOCOL_VERSION > 2  # the test is meaningful
-        finally:
-            conn.close()
-
-    def test_accept_from_genuine_v2_peer_acks_legacy_version(self):
-        chan_a, chan_b = channel_pair()
-        dispatcher = Dispatcher()
-        sid = fresh_space_id("old-dialer")
-        chan_a.send(self._old_peer_frame(0x01, sid, 2))
-        conn = Connection(
-            chan_b, fresh_space_id("b"), dispatcher,
-            lambda c, m: None, outbound=False,
-        )
-        try:
-            assert conn.version == 2
-            ack = messages.decode(memoryview(chan_a.recv(timeout=5)))
+            assert frame is not None, "acceptor closed without replying"
+            ack = messages.decode(memoryview(frame))
             assert isinstance(ack, messages.HelloAck)
-            # What the old dialer's strict equality check reads.
-            assert ack.version == 2
-        finally:
-            conn.close()
-
-    def test_below_floor_rejection_still_acks(self):
-        # The rejected dialer must get a reply before the close, so it
-        # can fail fast with a version error instead of a recv timeout.
-        chan_a, chan_b = channel_pair()
-        dispatcher = Dispatcher()
-        sid = fresh_space_id("ancient")
-        chan_a.send(self._old_peer_frame(0x01, sid, 1))
-        with pytest.raises(ProtocolError):
-            Connection(
-                chan_b, fresh_space_id("b"), dispatcher,
-                lambda c, m: None, outbound=False,
-            )
-        frame = chan_a.recv(timeout=5)
-        assert frame is not None, "acceptor closed without replying"
-        ack = messages.decode(memoryview(frame))
-        assert isinstance(ack, messages.HelloAck)
-        assert ack.max_version == 1
-
-    def test_dial_rejected_by_below_floor_peer_fails_fast(self):
-        chan_a, chan_b = channel_pair()
-        dispatcher = Dispatcher()
-        sid = fresh_space_id("ancient")
-
-        def old_acceptor():
-            chan_a.recv(timeout=5)
-            chan_a.send(self._old_peer_frame(0x02, sid, 1))
-
-        threading.Thread(target=old_acceptor, daemon=True).start()
-        with pytest.raises(ProtocolError):
-            Connection(
-                chan_b, fresh_space_id("b"), dispatcher,
-                lambda c, m: None, outbound=True,
-            )
+            assert ack.version == ack.max_version == protocol.PROTOCOL_VERSION
 
     def test_garbage_during_handshake_rejected(self):
         chan_a, chan_b = channel_pair()

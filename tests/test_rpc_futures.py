@@ -7,20 +7,17 @@ import pytest
 
 from repro.errors import CallTimeout, CommFailure
 from repro.rpc import messages
-from repro.wire.ids import fresh_space_id
-from repro.wire.wirerep import WireRep
 
 from tests.test_rpc import connected_pair
 
 
 def _echo(conn, msg):
-    assert isinstance(msg, messages.Call)
+    assert isinstance(msg, messages.BoundCall)
     conn.send(messages.Result(msg.call_id, bytes(msg.args_pickle)))
 
 
 def _call(conn, payload=b"x"):
-    rep = WireRep(fresh_space_id(), 1)
-    return messages.Call(conn.next_call_id(), rep, "m", payload)
+    return messages.BoundCall(conn.next_call_id(), 1, payload)
 
 
 class TestCallFuture:

@@ -161,11 +161,10 @@ class TestWireAccounting:
             assert tags.get(protocol.DIRTY, 0) >= 2       # agent + token
             assert tags.get(protocol.CLEAN, 0) >= 1
             assert tags.get(protocol.COPY_ACK, 0) >= 1
-            # v5 moved steady-state invocations onto the bound-call
-            # frames; the call family together is still observable.
+            # Invocations ride the bound-call frames; the call family
+            # together is observable.
             calls = sum(tags.get(tag, 0) for tag in (
-                protocol.CALL, protocol.CALL_BIND,
-                protocol.CALL_BOUND, protocol.CALL_FAST,
+                protocol.CALL_BIND, protocol.CALL_BOUND, protocol.CALL_FAST,
             ))
             assert calls >= 2                             # issue + poke
             # The bootstrap ``get`` itself rides the lease layer now.

@@ -1,6 +1,6 @@
 """Tests for surrogate streams (reader/writer marshaling): the local
-adapters, the RPC refill/flush path, and the protocol v7 bulk-data
-plane that surrogates of a v7 owner ride."""
+adapters, the RPC refill/flush path, and the bulk-data plane that
+surrogates of a remote owner ride."""
 
 import gc
 import hashlib
@@ -15,6 +15,7 @@ import pytest
 from repro import CommFailure, NetObj, RemoteError, Space, Surrogate
 from repro.errors import NoSuchMethodError, ProtocolError, ServerBusy
 from repro.rpc import messages
+from repro.rpc.connection import Connection
 from repro.rpc.messages import STREAM_READ
 from repro.rpc.streamplane import chunk_for, window_for
 from repro.sim.network import NetworkModel
@@ -241,7 +242,7 @@ class TestRpcPath:
         assert max(len(piece) for piece in pieces) <= window_for(1024)
 
 
-# -- the bulk-data plane (protocol v7) ------------------------------------------------
+# -- the bulk-data plane ---------------------------------------------------------------
 
 def pattern(size: int, salt: int = 0) -> bytes:
     """``size`` bytes in which every position is recognisable (a
@@ -333,7 +334,7 @@ class UploadSink(io.RawIOBase):
 
 @pytest.fixture(params=["inproc", "tcp", "shm"])
 def plane(request):
-    """A v7 owner and client over a pumped transport, sockets, and the
+    """An owner and client over a pumped transport, sockets, and the
     shm ring a loopback dial upgrades to; the owner's dispatcher has
     two workers, so a pump that blocked one would show."""
     listen = (f"inproc://plane-{request.node.name}"
@@ -655,58 +656,9 @@ class TestPeerDeath:
         assert streams_of(client)["active"] == 0
 
 
-class TestVersionInterop:
-    """A v6 peer — in either dial direction — never sees a stream
-    frame: the v7 side takes the RPC path and says so in a counter."""
-
-    @pytest.mark.parametrize("old_side", ["owner", "client"])
-    def test_v6_peer_gets_remote_calls_not_stream_frames(self, old_side):
-        versions = {"owner": {}, "client": {}}
-        versions[old_side] = {"protocol_version": 6}
-        server = Space("owner", listen=["tcp://127.0.0.1:0"], shm="off",
-                       **versions["owner"])
-        client = Space("client", shm="off", **versions["client"])
-        try:
-            depot = Depot()
-            server.serve("depot", depot)
-            remote = client.import_object(server.endpoints[0], "depot")
-            assert next(iter(client._connections)).version == 6
-            blob = depot.blobs["doc"] = pattern(500_000)
-            with as_file(remote.open_read("doc")) as reader:
-                assert reader.read() == blob
-            with as_file(remote.open_write("up")) as writer:
-                writer.write(blob)
-            assert remote.uploaded("up") == hashlib.sha256(blob).hexdigest()
-            for space in (client, server):
-                stats = streams_of(space)
-                assert stats["opened"] == 0 and stats["chunks_in"] == 0
-            assert streams_of(client)["fallbacks"] == 2
-        finally:
-            client.shutdown()
-            server.shutdown()
-
-    def test_write_larger_than_the_frame_limit_on_the_rpc_path(
-            self, monkeypatch):
-        server = Space("owner", listen=["tcp://127.0.0.1:0"], shm="off",
-                       protocol_version=6)
-        client = Space("client", shm="off")
-        try:
-            depot = Depot()
-            server.serve("depot", depot)
-            remote = client.import_object(server.endpoints[0], "depot")
-            monkeypatch.setattr(framing, "MAX_FRAME_SIZE", 1 << 20)
-            payload = pattern(3 * (1 << 20) + 17)
-            with as_file(remote.open_write("big"),
-                         buffer_size=4096) as writer:
-                assert writer.write(payload) == len(payload)
-            assert bytes(depot.uploads["big"].data) == payload
-            assert streams_of(client)["opened"] == 0
-        finally:
-            client.shutdown()
-            server.shutdown()
-
-
 class TestUnorderedChannel:
+    """Channels that may reorder frames keep streams on remote calls."""
+
     def test_a_reordering_network_keeps_streams_on_remote_calls(self):
         """Stream chunks carry no sequence numbers, so a channel that
         may reorder frames (the jittered simulated network) is not
@@ -730,6 +682,27 @@ class TestUnorderedChannel:
             client.shutdown()
             server.shutdown()
             transport.shutdown()
+
+    def test_write_larger_than_the_frame_limit_on_the_rpc_path(
+            self, monkeypatch):
+        # The RPC path an unordered channel takes, forced over tcp.
+        monkeypatch.setattr(Connection, "carries_streams", False)
+        server = Space("owner", listen=["tcp://127.0.0.1:0"], shm="off")
+        client = Space("client", shm="off")
+        try:
+            depot = Depot()
+            server.serve("depot", depot)
+            remote = client.import_object(server.endpoints[0], "depot")
+            monkeypatch.setattr(framing, "MAX_FRAME_SIZE", 1 << 20)
+            payload = pattern(3 * (1 << 20) + 17)
+            with as_file(remote.open_write("big"),
+                         buffer_size=4096) as writer:
+                assert writer.write(payload) == len(payload)
+            assert bytes(depot.uploads["big"].data) == payload
+            assert streams_of(client)["opened"] == 0
+        finally:
+            client.shutdown()
+            server.shutdown()
 
 
 class TestPlaneProtocol:

@@ -8,7 +8,6 @@ from repro.errors import CommFailure, ProtocolError, UnmarshalError
 from repro.wire import (
     FRAME_HEADER_SIZE,
     BufferPool,
-    FrameReader,
     SpaceID,
     WireRep,
     finish_frame,
@@ -168,30 +167,13 @@ class TestFraming:
             read_frame(recv_exact)
 
     def test_empty_frame(self):
-        data = pack_frame(b"")
-        reader = FrameReader()
-        reader.feed(data)
-        assert list(reader.frames()) == [b""]
+        chunks = [pack_frame(b"")]
 
-    def test_frame_reader_partial_feeds(self):
-        data = pack_frame(b"abc") + pack_frame(b"defg")
-        reader = FrameReader()
-        collected = []
-        for i in range(len(data)):
-            reader.feed(data[i : i + 1])
-            collected.extend(reader.frames())
-        assert collected == [b"abc", b"defg"]
+        def recv_exact(n):
+            buf, chunks[0] = chunks[0][:n], chunks[0][n:]
+            return buf if len(buf) == n else None
 
-    def test_frame_reader_bulk_feed(self):
-        reader = FrameReader()
-        reader.feed(pack_frame(b"one") + pack_frame(b"two") + pack_frame(b"three"))
-        assert list(reader.frames()) == [b"one", b"two", b"three"]
-
-    def test_frame_reader_oversized(self):
-        reader = FrameReader()
-        reader.feed(struct.pack("!I", 2**31))
-        with pytest.raises(ProtocolError):
-            list(reader.frames())
+        assert read_frame(recv_exact) == b""
 
 
 class TestFrameBuild:
@@ -211,9 +193,6 @@ class TestFrameBuild:
     def test_finish_zero_length_frame(self):
         frame = finish_frame(new_frame())
         assert bytes(frame) == struct.pack("!I", 0)
-        reader = FrameReader()
-        reader.feed(bytes(frame))
-        assert list(reader.frames()) == [b""]
 
     def test_finish_exactly_at_limit(self, monkeypatch):
         monkeypatch.setattr("repro.wire.framing.MAX_FRAME_SIZE", 1024)
@@ -294,7 +273,7 @@ class TestMemoryviewInputs:
 
 
 class TestStreamFrames:
-    """Protocol v7: the bulk-data plane's frame family."""
+    """The bulk-data plane's frame family."""
 
     TARGET = WireRep(fresh_space_id("owner"), 7)
 
@@ -359,10 +338,9 @@ class TestStreamFrames:
         with pytest.raises(UnmarshalError):
             messages.decode(bytes(ended))
 
-    def test_stream_tags_are_v7(self):
+    def test_stream_tags_are_named(self):
         from repro.wire import protocol
 
-        assert protocol.STREAM_VERSION == 7 <= protocol.PROTOCOL_VERSION
         assert {protocol.tag_name(tag) for tag in protocol.STREAM_TAGS} == {
             "STREAM_OPEN", "STREAM_DATA", "STREAM_CREDIT", "STREAM_END",
         }
