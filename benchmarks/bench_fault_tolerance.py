@@ -61,7 +61,7 @@ def lossy_spaces(drop_probability: float, seed: int,
     # noise to the experiment.
     transport = SimTransport(NetworkModel(
         latency=0.0005, drop_probability=drop_probability, seed=seed,
-        drop_tags=frozenset({protocol.CLEAN, protocol.CLEAN_ACK}),
+        drop_tags=frozenset({protocol.CLEAN_BATCH, protocol.CLEAN_BATCH_ACK}),
     ))
     server = Space("owner", listen=["sim://owner"],
                    transports=[transport], gc=gc or GcConfig(

@@ -121,9 +121,9 @@ class TestBatchedCleans:
     def test_batched_vs_unit_clean_frames(self, benchmark, report):
         """100 surrogates dropped at once toward one owner: a default
         client folds the clean calls into CLEAN_BATCH frames, a client
-        with batching off (``clean_batch_max=1``) ships one CLEAN +
-        CLEAN_ACK per reclamation.  Batching must cut collector frames
-        by ≥5x."""
+        with batching off (``clean_batch_max=1``) ships a one-entry
+        CLEAN_BATCH + CLEAN_BATCH_ACK per reclamation.  Batching must
+        cut collector frames by ≥5x."""
         import gc as pygc
         import time
 
@@ -168,8 +168,7 @@ class TestBatchedCleans:
                 tags = transport.stats.by_tag
                 return sum(
                     tags.get(tag, 0)
-                    for tag in (protocol.CLEAN, protocol.CLEAN_ACK,
-                                protocol.CLEAN_BATCH,
+                    for tag in (protocol.CLEAN_BATCH,
                                 protocol.CLEAN_BATCH_ACK)
                 )
             finally:
@@ -198,7 +197,8 @@ class TestRuntimeAgreement:
         """The *actual* runtime (threads + sockets) sends exactly the
         message counts the abstract machine predicts for one
         import/drop cycle: 1 dirty, 1 dirty_ack, 1 copy_ack, 1 clean,
-        1 clean_ack on the wire."""
+        1 clean_ack on the wire — the clean and its ack being a
+        one-entry CLEAN_BATCH and its CLEAN_BATCH_ACK."""
         import gc as pygc
         import time
 
@@ -236,7 +236,7 @@ class TestRuntimeAgreement:
                 deadline = time.time() + 5
                 while time.time() < deadline:
                     tags = transport.stats.by_tag
-                    if tags.get(protocol.CLEAN_ACK, 0) >= 1:
+                    if tags.get(protocol.CLEAN_BATCH_ACK, 0) >= 1:
                         break
                     time.sleep(0.01)
                 assert agent is not None and maker is not None
@@ -251,8 +251,8 @@ class TestRuntimeAgreement:
             "dirty": tags.get(protocol.DIRTY, 0),
             "dirty_ack": tags.get(protocol.DIRTY_ACK, 0),
             "copy_ack": tags.get(protocol.COPY_ACK, 0),
-            "clean": tags.get(protocol.CLEAN, 0),
-            "clean_ack": tags.get(protocol.CLEAN_ACK, 0),
+            "clean": tags.get(protocol.CLEAN_BATCH, 0),
+            "clean_ack": tags.get(protocol.CLEAN_BATCH_ACK, 0),
         }
         report("E4 GC messages",
                f"runtime-on-the-wire (one cycle): {gc_counts}")

@@ -258,8 +258,7 @@ class Space:
             name=f"gc-cleanup-{nickname or self.space_id.short()}",
         )
 
-        #: CLEAN_BATCH frames actually sent; the daemon's
-        #: ``batches_sent`` counts logical batch attempts.
+        #: CLEAN_BATCH frames sent (every clean frame).
         self.clean_batch_frames = 0
 
         # Call-fast-lane counters (surfaced as stats()["fastlane"];
@@ -672,14 +671,14 @@ class Space:
                 method_id = connection.next_method_id()
                 self.methods_bound += 1
                 pending_bind = wirerep, method, method_id
-                messages.encode_bind_call_prefix(
+                messages.BindCall.encode_prefix(
                     buffer, call_id, method_id, wirerep, method
                 )
             else:
                 if fastlane and not kwargs:
                     base = len(buffer)
-                    messages.encode_fast_call_prefix(buffer, call_id,
-                                                     method_id)
+                    messages.FastCall.encode_prefix(buffer, call_id,
+                                                    method_id)
                     fast = encode_scalar_args_into(buffer, args)
                     if fast:
                         self.fastlane_calls += 1
@@ -691,8 +690,8 @@ class Space:
                         del buffer[base:]
                         self.fastlane_fallbacks += 1
                 if not fast:
-                    messages.encode_bound_call_prefix(buffer, call_id,
-                                                      method_id)
+                    messages.BoundCall.encode_prefix(buffer, call_id,
+                                                     method_id)
             if not fast:
                 self._pickle_args_into(connection, buffer, args, kwargs)
         except BaseException:
@@ -875,12 +874,11 @@ class Space:
 
     def _gc_request(self, endpoints: Sequence[str], kind: str, *,
                     target: Optional[WireRep] = None, seqno: int = 0,
-                    strong: bool = False, entries: Sequence = ()):
+                    entries: Sequence = ()):
         """Send collector traffic to an owner and await its ack(s).
 
-        ``kind`` is "dirty", "clean" or "clean_batch".  A clean batch
-        of two or more entries rides one CLEAN_BATCH frame; a single
-        entry travels as a unit CLEAN.
+        ``kind`` is "dirty" or "clean_batch".  Every clean rides a
+        CLEAN_BATCH frame, a lone clean as a batch of one.
         """
         connection = self._conn_for_endpoints(endpoints)
         timeout = self.gc_config.gc_call_timeout
@@ -890,42 +888,22 @@ class Space:
             assert isinstance(reply, messages.DirtyAck)
             if not reply.ok:
                 raise NoSuchObjectError(reply.error)
-        elif kind == "clean":
+        elif kind == "clean_batch":
             # The lease goes with the reference: a resurrected
             # surrogate is never served defunct cached state.
-            connection.method_ids.pop(target, None)
-            self._release_lease(connection, target,
-                                self.lease_cache.forget(target))
-            # Cleans are idempotent (the seqno dedups at the owner), so
-            # a BUSY shed is retried with backoff; a dirty above is
-            # not — its caller owns the must-not-lose-the-ack policy.
-            retry_busy(lambda: connection.call(
-                messages.Clean(
-                    connection.next_call_id(), target, seqno, strong
-                ),
-                timeout=timeout,
-            ))
-        elif kind == "clean_batch":
             for entry_target, _seqno, _strong in entries:
                 connection.method_ids.pop(entry_target, None)
                 self._release_lease(connection, entry_target,
                                     self.lease_cache.forget(entry_target))
-            if len(entries) > 1:
-                self.clean_batch_frames += 1
-                reply = retry_busy(lambda: connection.call(
-                    messages.CleanBatch(
-                        connection.next_call_id(), tuple(entries)
-                    ),
-                    timeout=timeout,
-                ))
-                assert isinstance(reply, messages.CleanBatchAck)
-            else:
-                for entry_target, entry_seqno, entry_strong in entries:
-                    retry_busy(lambda t=entry_target, s=entry_seqno,
-                               g=entry_strong: connection.call(
-                        messages.Clean(connection.next_call_id(), t, s, g),
-                        timeout=timeout,
-                    ))
+            # Cleans are idempotent (the seqno dedups at the owner), so
+            # a BUSY shed is retried with backoff; a dirty above is
+            # not — its caller owns the must-not-lose-the-ack policy.
+            self.clean_batch_frames += 1
+            reply = retry_busy(lambda: connection.call(
+                messages.CleanBatch(connection.next_call_id(), tuple(entries)),
+                timeout=timeout,
+            ))
+            assert isinstance(reply, messages.CleanBatchAck)
         else:  # pragma: no cover - internal misuse
             raise ValueError(f"unknown GC request kind {kind!r}")
 
@@ -1060,12 +1038,6 @@ class Space:
         elif isinstance(message, messages.Dirty):
             ok, error = self._apply_dirty(connection.peer_id, message)
             self._reply(connection, messages.DirtyAck(message.call_id, ok, error))
-        elif isinstance(message, messages.Clean):
-            self.dgc_owner.handle_clean(
-                connection.peer_id, message.target, message.seqno,
-                message.strong,
-            )
-            self._reply(connection, messages.CleanAck(message.call_id))
         elif isinstance(message, messages.CleanBatch):
             for target, seqno, strong in message.entries:
                 self.dgc_owner.handle_clean(
@@ -1312,14 +1284,14 @@ class Space:
         buffer = connection.new_send_buffer()
         if fast:
             base = len(buffer)
-            messages.encode_fast_result_prefix(buffer, call_id)
+            messages.FastResult.encode_prefix(buffer, call_id)
             fast = encode_scalar_result_into(buffer, result)
             if not fast:
                 # A fast-lane method returned a non-scalar (a
                 # reference, a struct...): rewind to the pickle lane.
                 del buffer[base:]
         if not fast:
-            messages.encode_result_prefix(buffer, call_id)
+            messages.Result.encode_prefix(buffer, call_id)
             if result is None:
                 buffer += NONE_PICKLE
             else:
@@ -1386,9 +1358,9 @@ class Space:
         obj = entry.obj
 
         def snapshot(lease) -> None:
-            messages.encode_lease_grant_prefix(
-                buffer, message.call_id, lease.lease_id, ttl_ms,
-                lease.version,
+            messages.LeaseGrant.encode_prefix(
+                buffer, message.call_id, True, lease.lease_id, ttl_ms,
+                lease.version, "",
             )
             pickler.dump_into(snapshot_state(obj), buffer)
 

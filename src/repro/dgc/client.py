@@ -33,7 +33,7 @@ from repro.errors import CommFailure, NarrowingError, NetObjError
 from repro.wire.wirerep import WireRep
 
 #: ``gc_request(endpoints, kind, **fields) -> reply`` — provided by the
-#: space; ``kind`` is "dirty" or "clean".
+#: space; ``kind`` is "dirty" or "clean_batch".
 GcRequest = Callable[..., object]
 
 
@@ -402,15 +402,10 @@ class DgcClient:
             entry.strong_pending = False
             return entry, entry.seqno, strong
 
-    def send_clean(self, entry: RefEntry, seqno: int, strong: bool) -> None:
-        """Daemon step 2: one clean-call attempt (may raise CommFailure)."""
-        self.clean_calls_sent += 1
-        self._gc_request(entry.endpoints, "clean",
-                         target=entry.wirerep, seqno=seqno, strong=strong)
-
     def send_clean_batch(self, endpoints, claims) -> None:
-        """Daemon step 2, batched: one attempt at delivering several
-        claimed cleans bound for the same owner (may raise CommFailure).
+        """Daemon step 2: one attempt at delivering the claimed cleans
+        bound for one owner — a lone clean is a batch of one (may
+        raise CommFailure).
         """
         self.clean_calls_sent += len(claims)
         self._gc_request(

@@ -39,7 +39,7 @@ class GcConfig:
     transient_sweep_interval: float = 1.0
     #: Upper bound on clean calls shipped to one owner in a single
     #: CLEAN_BATCH frame.  1 disables batching: every clean goes out
-    #: as a unit CLEAN frame.
+    #: as a batch of one.
     clean_batch_max: int = 64
     #: Owner-side cap on a read lease's lifetime, in
     #: seconds; also the TTL clients request by default.  The owner

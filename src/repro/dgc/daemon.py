@@ -47,7 +47,6 @@ class CleanupDaemon:
         self.cleans_completed = 0
         self.cleans_abandoned = 0
         self.cleans_failed = 0
-        self.batches_sent = 0
         self.retries = 0
 
     def enqueue(self, wirerep: WireRep) -> None:
@@ -112,7 +111,7 @@ class CleanupDaemon:
         if not claims:
             return
         # Step 2+3 per owner: entries bound for the same endpoints ride
-        # one CLEAN_BATCH frame; singletons stay unit CLEAN frames.
+        # one CLEAN_BATCH frame (a singleton is a batch of one).
         groups: "dict[tuple, list]" = {}
         for claim in claims:
             groups.setdefault(claim[0].endpoints, []).append(claim)
@@ -134,12 +133,7 @@ class CleanupDaemon:
             if self._stop_event.is_set():
                 break
             try:
-                if len(group) > 1:
-                    self._client.send_clean_batch(endpoints, group)
-                    self.batches_sent += 1
-                else:
-                    entry, seqno, strong = group[0]
-                    self._client.send_clean(entry, seqno, strong)
+                self._client.send_clean_batch(endpoints, group)
                 delivered = True
                 break
             except NetObjError:

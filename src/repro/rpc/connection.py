@@ -77,7 +77,7 @@ _MAX_FREE_PENDING = 8
 #: frame here is at most a table update and its ack, and stays charged
 #: to the gauge, so the exemption cannot be used to flood past admission.
 _GC_PLANE_TAGS = frozenset({
-    protocol.DIRTY, protocol.CLEAN, protocol.CLEAN_BATCH, protocol.PING,
+    protocol.DIRTY, protocol.CLEAN_BATCH, protocol.PING,
     protocol.COPY_ACK, protocol.LEASE_RELEASE,
 })
 
@@ -325,7 +325,7 @@ class Connection:
         try:
             if self._closed.is_set():
                 raise ConnectionClosed("connection closed")
-            messages.encode_stream_data_header(head, stream_id)
+            messages.StreamData.encode_prefix(head, stream_id)
             self._channel.send_vector(finish_frame(head, len(chunk)), chunk)
             if self._reactor is not None:
                 self._reactor.frames_out += 1

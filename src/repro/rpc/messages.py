@@ -1,31 +1,40 @@
 """Wire messages of the RPC and GC protocols.
 
-Each message encodes as its tag byte followed by hand-written binary
-fields (varints, length-prefixed strings/bytes, wireReps).  We keep
-the envelope codecs separate from the pickles so the reader thread can
-decode an envelope — and route it — without touching the argument
-payload; unpickling happens later, in the thread that owns the call.
+Each message is its tag byte followed by binary fields (varints,
+length-prefixed strings, wireReps), decoded apart from the pickles so
+the reader thread can route an envelope without touching its payload.
 
-Encoding is write-into: every message appends itself to a caller-owned
-``bytearray`` via ``encode_into`` (the hot path hands it a pooled frame
-buffer with the 4 length-prefix bytes already reserved); ``encode()``
-remains as a one-shot convenience wrapper.  ``decode`` accepts any
-bytes-like input, and call/result frames carry their pickle as the
-*trailing* bytes of the frame — no length prefix — so the sender can
-stream the pickle straight into the frame buffer after the envelope,
-and the receiver can take a zero-copy ``memoryview`` slice of it.
+Messages are specs: a frame is its tag plus its fields in wire order,
+and :func:`_frame` compiles that spec at import into a ``__slots__``
+class with generated straight-line ``__init__``, ``encode_prefix``,
+``encode_into`` and ``decode``.  Only :class:`Hello`/:class:`HelloAck`
+are written by hand: they must also read a HELLO without its trailing
+``max_version``.
+
+Encoding is write-into: ``encode_into`` appends to a caller-owned
+``bytearray`` (on the hot path, a pooled frame buffer).  Call/result
+frames carry their pickle as the *trailing* bytes — no length prefix —
+so a sender writes the envelope with ``encode_prefix`` and streams the
+pickle in after it, and ``decode`` hands the receiver a zero-copy
+``memoryview`` slice of it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Union
 
 from repro.errors import ProtocolError, UnmarshalError
 from repro.wire import protocol
 from repro.wire.ids import SpaceID
 from repro.wire.varint import read_uvarint, write_uvarint
 from repro.wire.wirerep import WireRep
+
+# -- field kinds (a frozenset of ints is a u8 enum of those values) --------
+
+UINT = "uint"               # varint
+STR = "str"                 # varint length ‖ UTF-8
+FLAG = "flag"               # u8 0/1, decoded as a bool
+WIREREP = "WireRep"         # SpaceID (16 bytes) ‖ index varint
+ENTRIES = "clean-entries"   # count varint ‖ count × (WireRep ‖ seqno ‖ strong u8)
+TRAILING = "trailing"       # the rest of the frame, no length prefix
 
 
 def _write_str(out: bytearray, text: str) -> None:
@@ -45,94 +54,165 @@ def _read_str(data, offset: int):
         raise UnmarshalError(f"invalid UTF-8 in string field: {exc}") from exc
 
 
-def _write_bytes(out: bytearray, raw) -> None:
-    write_uvarint(out, len(raw))
-    out += raw
+def _write_entries(out: bytearray, entries) -> None:
+    write_uvarint(out, len(entries))
+    for target, seqno, strong in entries:
+        target.to_wire(out)
+        write_uvarint(out, seqno)
+        out.append(1 if strong else 0)
 
 
-def _read_bytes(data, offset: int):
-    length, offset = read_uvarint(data, offset)
-    end = offset + length
-    if end > len(data):
-        raise UnmarshalError("truncated bytes field")
-    return data[offset:end], end
+def _read_entries(data, offset: int):
+    count, offset = read_uvarint(data, offset)
+    entries = []
+    for _ in range(count):
+        target, offset = WireRep.from_wire(data, offset)
+        seqno, offset = read_uvarint(data, offset)
+        if offset >= len(data):
+            raise UnmarshalError("truncated CleanBatch entry")
+        entries.append((target, seqno, bool(data[offset])))
+        offset += 1
+    return tuple(entries), offset
 
 
-def _trailing(data, offset: int):
-    """The frame's trailing bytes as a zero-copy view.
+class Message:
+    """Base of every frame.  ``tag`` is the frame's first byte and
+    ``fields`` its spec; ``__match_args__`` names the attributes that
+    equality and ``repr`` compare and show, in wire order."""
 
-    ``data[offset:]`` on a memoryview is already zero-copy, but on
-    ``bytes``/``bytearray`` (standalone decodes, tests, transports
-    that hand whole frames around) it *copies* the payload — wrap
-    first so the pickle slice is always a view into the frame buffer.
-    """
-    if type(data) is not memoryview:
-        data = memoryview(data)
-    return data[offset:]
-
-
-class _Encodable:
-    """One-shot ``encode()`` on top of each message's ``encode_into``."""
+    __slots__ = ()
+    fields: tuple = ()
 
     def encode(self) -> bytes:
         out = bytearray()
         self.encode_into(out)
         return bytes(out)
 
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__match_args__)
 
-# -- envelope prefix writers (the zero-copy send path) -----------------------
-#
-# The hot path never materialises a call/result object on the way out:
-# it writes the envelope prefix into the frame buffer and lets the
-# pickler (or the typed scalar codec) append the payload in place.  Each
-# message's ``encode_into`` delegates here so there is exactly one
-# definition of each envelope.
-
-def encode_result_prefix(out: bytearray, call_id: int) -> None:
-    """Write a RESULT envelope; the result pickle follows as trailing bytes."""
-    out.append(protocol.RESULT)
-    write_uvarint(out, call_id)
-
-
-def encode_bind_call_prefix(out: bytearray, call_id: int, method_id: int,
-                            target: WireRep, method: str) -> None:
-    """Write a CALL_BIND envelope: the METHOD_BIND announcement
-    piggybacked on the first call through a fresh binding.  The args
-    pickle follows as trailing bytes."""
-    out.append(protocol.CALL_BIND)
-    write_uvarint(out, call_id)
-    write_uvarint(out, method_id)
-    target.to_wire(out)
-    _write_str(out, method)
+    def __repr__(self) -> str:
+        parts = []
+        for name in self.__match_args__:
+            value = getattr(self, name)
+            if isinstance(value, (bytes, bytearray, memoryview)):
+                parts.append(f"{name}=<{len(value)} bytes>")
+            else:
+                parts.append(f"{name}={value!r}")
+        return f"{type(self).__name__}({', '.join(parts)})"
 
 
-def encode_bound_call_prefix(out: bytearray, call_id: int,
-                             method_id: int) -> None:
-    """Write a CALL_BOUND envelope; the args pickle follows as
-    trailing bytes."""
-    out.append(protocol.CALL_BOUND)
-    write_uvarint(out, call_id)
-    write_uvarint(out, method_id)
+#: Every frame class by tag, and the decoder ``decode(data, 1)`` of each.
+FRAMES: "dict[int, type]" = {}
+_DECODERS: dict = {}
 
 
-def encode_fast_call_prefix(out: bytearray, call_id: int,
-                            method_id: int) -> None:
-    """Write a CALL_FAST envelope; typed scalar args (see
-    :mod:`repro.core.typecodes`) follow as trailing bytes."""
-    out.append(protocol.CALL_FAST)
-    write_uvarint(out, call_id)
-    write_uvarint(out, method_id)
+def _register(cls):
+    FRAMES[cls.tag] = cls
+    _DECODERS[cls.tag] = cls.decode
+    return cls
 
 
-def encode_fast_result_prefix(out: bytearray, call_id: int) -> None:
-    """Write a RESULT_FAST envelope; one typed scalar value follows as
-    trailing bytes."""
-    out.append(protocol.RESULT_FAST)
-    write_uvarint(out, call_id)
+# -- the spec compiler -------------------------------------------------------
+
+#: Encode statement per kind (``{v}``: the value expression).
+_ENCODE = {
+    UINT: "_wu(out, {v})",
+    STR: "_ws(out, {v})",
+    FLAG: "out.append(1 if {v} else 0)",
+    "u8": "out.append({v})",
+    WIREREP: "{v}.to_wire(out)",
+    ENTRIES: "_we(out, {v})",
+}
+
+_READ_U8 = ("if offset >= len(data):\n"
+            "    raise UnmarshalError('truncated {m}')\n"
+            "{f} = data[offset]\n"
+            "offset += 1")
+
+#: Decode statements per kind (``{f}``: the field, ``{m}``: the frame).
+_DECODE = {
+    UINT: "{f}, offset = _ru(data, offset)",
+    STR: "{f}, offset = _rs(data, offset)",
+    FLAG: _READ_U8 + "\n{f} = {f} != 0",
+    "u8": _READ_U8 + ("\nif {f} not in _{f}_values:\n"
+                      "    raise UnmarshalError('bad {m} {f} %d' % {f})"),
+    WIREREP: "{f}, offset = _rw(data, offset)",
+    ENTRIES: "{f}, offset = _re(data, offset)",
+    TRAILING: ("if type(data) is not memoryview:\n"
+               "    data = memoryview(data)\n"
+               "{f} = data[offset:]"),
+}
+
+_HELPERS = {
+    "_wu": write_uvarint, "_ws": _write_str, "_we": _write_entries,
+    "_ru": read_uvarint, "_rs": _read_str, "_re": _read_entries,
+    "_rw": WireRep.from_wire, "UnmarshalError": UnmarshalError,
+}
 
 
-@dataclass(frozen=True)
-class Hello(_Encodable):
+def _frame(tag: int, *fields):
+    """Class decorator: compile a frame spec into a message class.
+
+    ``fields`` are ``(name, kind[, default])`` in wire order, TRAILING
+    last if at all.  The decorated class lends its name and docstring
+    to a new :class:`Message` subclass whose methods are generated from
+    this module's own specs (never from wire input); the static
+    ``encode_prefix(out, *fields but the trailing one)`` writes the
+    envelope alone.  The class is registered under ``tag``.
+    """
+    names = tuple(field[0] for field in fields)
+    assert all(name.isidentifier() for name in names)
+    assert TRAILING not in [field[1] for field in fields[:-1]]
+
+    def build(decl):
+        env = dict(_HELPERS)
+        params, head, body, reads = [], [], [], []
+        for name, kind, *default in fields:
+            params.append(f"{name}={default[0]!r}" if default else name)
+            if isinstance(kind, frozenset):
+                env[f"_{name}_values"] = kind
+                kind = "u8"
+            reads += _DECODE[kind].format(f=name, m=decl.__name__).split("\n")
+            if kind == TRAILING:
+                body.append(f"out += self.{name}")
+            else:
+                head.append(_ENCODE[kind].format(v=name))
+                body.append(_ENCODE[kind].format(v=f"self.{name}"))
+        source = "\n".join([
+            f"def __init__(self, {', '.join(params)}):",
+            *[f"    self.{name} = {name}" for name in names], "    pass",
+            f"def encode_prefix(out, {', '.join(names[:len(head)])}):",
+            f"    out.append({tag})", *["    " + line for line in head],
+            "def encode_into(self, out):",
+            f"    out.append({tag})", *["    " + line for line in body],
+            "def decode(data, offset):",
+            *["    " + line for line in reads],
+            f"    return _cls({', '.join(names)})",
+        ])
+        exec(compile(source, f"<frame {decl.__name__}>", "exec"), env)
+        cls = type(decl.__name__, (Message,), {
+            "__slots__": names, "__match_args__": names,
+            "__doc__": decl.__doc__, "__module__": __name__,
+            "__qualname__": decl.__qualname__, "tag": tag, "fields": fields,
+            "__init__": env["__init__"],
+            "encode_prefix": staticmethod(env["encode_prefix"]),
+            "encode_into": env["encode_into"],
+            "decode": staticmethod(env["decode"]),
+        })
+        env["_cls"] = cls
+        return _register(cls)
+
+    return build
+
+
+# -- connection management ---------------------------------------------------
+
+@_register
+class Hello(Message):
     """Handshake: announces the protocol version and the sender's identity.
 
     The frame carries the version twice — ``version`` after the tag and
@@ -142,11 +222,17 @@ class Hello(_Encodable):
     (as the oldest peers sent it) announces its ``version`` instead.
     """
 
-    space_id: SpaceID
-    nickname: str
-    version: int = protocol.PROTOCOL_VERSION
-    max_version: int = protocol.PROTOCOL_VERSION
+    __slots__ = __match_args__ = ("space_id", "nickname", "version",
+                                  "max_version")
     tag = protocol.HELLO
+
+    def __init__(self, space_id: SpaceID, nickname: str,
+                 version: int = protocol.PROTOCOL_VERSION,
+                 max_version: int = protocol.PROTOCOL_VERSION) -> None:
+        self.space_id = space_id
+        self.nickname = nickname
+        self.version = version
+        self.max_version = max_version
 
     def encode_into(self, out: bytearray) -> None:
         out.append(self.tag)
@@ -169,65 +255,34 @@ class Hello(_Encodable):
         return cls(space_id, nickname, version, max_version)
 
 
-@dataclass(frozen=True)
+@_register
 class HelloAck(Hello):
+    """The acceptor's handshake reply; the same layout as :class:`Hello`."""
+
+    __slots__ = ()
     tag = protocol.HELLO_ACK
 
 
-@dataclass(frozen=True)
-class Bye(_Encodable):
+@_frame(protocol.BYE)
+class Bye(Message):
     """Orderly shutdown notice."""
 
-    tag = protocol.BYE
 
-    def encode_into(self, out: bytearray) -> None:
-        out.append(self.tag)
+# -- calls and their replies -------------------------------------------------
 
-    @classmethod
-    def decode(cls, data, offset: int) -> "Bye":
-        return cls()
-
-
-class Result(_Encodable):
+@_frame(protocol.RESULT, ("call_id", UINT), ("result_pickle", TRAILING))
+class Result(Message):
     """Successful completion of a call.
 
     The pickle is the frame's trailing bytes (no length prefix), so a
     decoded Result's ``result_pickle`` is a zero-copy view into the
     frame buffer when the frame arrives as a ``memoryview``.
-
-    A plain ``__slots__`` class rather than a frozen dataclass: one is
-    constructed per reply, and the frozen-dataclass
-    ``object.__setattr__`` dance costs several times a normal init.
     """
 
-    __slots__ = ("call_id", "result_pickle")
-    tag = protocol.RESULT
 
-    def __init__(self, call_id: int, result_pickle) -> None:
-        self.call_id = call_id
-        self.result_pickle = result_pickle
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Result):
-            return (self.call_id == other.call_id
-                    and self.result_pickle == other.result_pickle)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"Result(call_id={self.call_id}, "
-                f"result_pickle=<{len(self.result_pickle)} bytes>)")
-
-    def encode_into(self, out: bytearray) -> None:
-        encode_result_prefix(out, self.call_id)
-        out += self.result_pickle
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "Result":
-        call_id, offset = read_uvarint(data, offset)
-        return cls(call_id, _trailing(data, offset))
-
-
-class BindCall(_Encodable):
+@_frame(protocol.CALL_BIND, ("call_id", UINT), ("method_id", UINT),
+        ("target", WIREREP), ("method", STR), ("args_pickle", TRAILING))
+class BindCall(Message):
     """First call through a fresh method binding.
 
     The METHOD_BIND announcement rides the call itself: the frame
@@ -240,83 +295,18 @@ class BindCall(_Encodable):
     sides' id spaces never collide.
     """
 
-    __slots__ = ("call_id", "method_id", "target", "method", "args_pickle")
-    tag = protocol.CALL_BIND
 
-    def __init__(self, call_id: int, method_id: int, target: WireRep,
-                 method: str, args_pickle) -> None:
-        self.call_id = call_id
-        self.method_id = method_id
-        self.target = target
-        self.method = method
-        self.args_pickle = args_pickle
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BindCall):
-            return (self.call_id == other.call_id
-                    and self.method_id == other.method_id
-                    and self.target == other.target
-                    and self.method == other.method
-                    and self.args_pickle == other.args_pickle)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"BindCall(call_id={self.call_id}, "
-                f"method_id={self.method_id}, target={self.target}, "
-                f"method={self.method!r}, "
-                f"args_pickle=<{len(self.args_pickle)} bytes>)")
-
-    def encode_into(self, out: bytearray) -> None:
-        encode_bind_call_prefix(out, self.call_id, self.method_id,
-                                self.target, self.method)
-        out += self.args_pickle
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "BindCall":
-        call_id, offset = read_uvarint(data, offset)
-        method_id, offset = read_uvarint(data, offset)
-        target, offset = WireRep.from_wire(data, offset)
-        method, offset = _read_str(data, offset)
-        return cls(call_id, method_id, target, method, _trailing(data, offset))
-
-
-class BoundCall(_Encodable):
+@_frame(protocol.CALL_BOUND, ("call_id", UINT), ("method_id", UINT),
+        ("args_pickle", TRAILING))
+class BoundCall(Message):
     """Steady-state bound call: the envelope is just
     ``call_id, method_id`` — no wireRep, no method string — with the
     args pickle trailing."""
 
-    __slots__ = ("call_id", "method_id", "args_pickle")
-    tag = protocol.CALL_BOUND
 
-    def __init__(self, call_id: int, method_id: int, args_pickle) -> None:
-        self.call_id = call_id
-        self.method_id = method_id
-        self.args_pickle = args_pickle
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BoundCall):
-            return (self.call_id == other.call_id
-                    and self.method_id == other.method_id
-                    and self.args_pickle == other.args_pickle)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"BoundCall(call_id={self.call_id}, "
-                f"method_id={self.method_id}, "
-                f"args_pickle=<{len(self.args_pickle)} bytes>)")
-
-    def encode_into(self, out: bytearray) -> None:
-        encode_bound_call_prefix(out, self.call_id, self.method_id)
-        out += self.args_pickle
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "BoundCall":
-        call_id, offset = read_uvarint(data, offset)
-        method_id, offset = read_uvarint(data, offset)
-        return cls(call_id, method_id, _trailing(data, offset))
-
-
-class FastCall(_Encodable):
+@_frame(protocol.CALL_FAST, ("call_id", UINT), ("method_id", UINT),
+        ("args_wire", TRAILING))
+class FastCall(Message):
     """Bound call whose arguments are typed scalars.
 
     ``args_wire`` is the trailing typed-argument encoding of
@@ -324,38 +314,9 @@ class FastCall(_Encodable):
     is bypassed entirely on both sides.
     """
 
-    __slots__ = ("call_id", "method_id", "args_wire")
-    tag = protocol.CALL_FAST
 
-    def __init__(self, call_id: int, method_id: int, args_wire) -> None:
-        self.call_id = call_id
-        self.method_id = method_id
-        self.args_wire = args_wire
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FastCall):
-            return (self.call_id == other.call_id
-                    and self.method_id == other.method_id
-                    and self.args_wire == other.args_wire)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"FastCall(call_id={self.call_id}, "
-                f"method_id={self.method_id}, "
-                f"args_wire=<{len(self.args_wire)} bytes>)")
-
-    def encode_into(self, out: bytearray) -> None:
-        encode_fast_call_prefix(out, self.call_id, self.method_id)
-        out += self.args_wire
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "FastCall":
-        call_id, offset = read_uvarint(data, offset)
-        method_id, offset = read_uvarint(data, offset)
-        return cls(call_id, method_id, _trailing(data, offset))
-
-
-class FastResult(_Encodable):
+@_frame(protocol.RESULT_FAST, ("call_id", UINT), ("value_wire", TRAILING))
+class FastResult(Message):
     """Typed scalar completion of a fast-lane call.
 
     ``value_wire`` is one self-describing typed value
@@ -363,61 +324,16 @@ class FastResult(_Encodable):
     caller decodes it without touching the unpickler pool.
     """
 
-    __slots__ = ("call_id", "value_wire")
-    tag = protocol.RESULT_FAST
 
-    def __init__(self, call_id: int, value_wire) -> None:
-        self.call_id = call_id
-        self.value_wire = value_wire
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FastResult):
-            return (self.call_id == other.call_id
-                    and self.value_wire == other.value_wire)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"FastResult(call_id={self.call_id}, "
-                f"value_wire=<{len(self.value_wire)} bytes>)")
-
-    def encode_into(self, out: bytearray) -> None:
-        encode_fast_result_prefix(out, self.call_id)
-        out += self.value_wire
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "FastResult":
-        call_id, offset = read_uvarint(data, offset)
-        return cls(call_id, _trailing(data, offset))
-
-
-@dataclass(frozen=True)
-class Fault(_Encodable):
+@_frame(protocol.FAULT, ("call_id", UINT), ("kind", STR), ("message", STR),
+        ("remote_traceback", STR))
+class Fault(Message):
     """The remote implementation raised; carried back to the caller."""
 
-    call_id: int
-    kind: str
-    message: str
-    remote_traceback: str
-    tag = protocol.FAULT
 
-    def encode_into(self, out: bytearray) -> None:
-        out.append(self.tag)
-        write_uvarint(out, self.call_id)
-        _write_str(out, self.kind)
-        _write_str(out, self.message)
-        _write_str(out, self.remote_traceback)
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "Fault":
-        call_id, offset = read_uvarint(data, offset)
-        kind, offset = _read_str(data, offset)
-        message, offset = _read_str(data, offset)
-        remote_traceback, offset = _read_str(data, offset)
-        return cls(call_id, kind, message, remote_traceback)
-
-
-@dataclass(frozen=True)
-class Busy(_Encodable):
+@_frame(protocol.BUSY, ("call_id", UINT), ("reason", STR),
+        ("retry_after_ms", UINT))
+class Busy(Message):
     """The request was shed under admission control.
 
     A *reply* frame: it completes the caller's pending future with a
@@ -425,27 +341,12 @@ class Busy(_Encodable):
     ``retry_after_ms`` is the server's backoff hint.
     """
 
-    call_id: int
-    reason: str
-    retry_after_ms: int
-    tag = protocol.BUSY
 
-    def encode_into(self, out: bytearray) -> None:
-        out.append(self.tag)
-        write_uvarint(out, self.call_id)
-        _write_str(out, self.reason)
-        write_uvarint(out, self.retry_after_ms)
+# -- distributed garbage collector -------------------------------------------
 
-    @classmethod
-    def decode(cls, data, offset: int) -> "Busy":
-        call_id, offset = read_uvarint(data, offset)
-        reason, offset = _read_str(data, offset)
-        retry_after_ms, offset = read_uvarint(data, offset)
-        return cls(call_id, reason, retry_after_ms)
-
-
-@dataclass(frozen=True)
-class Dirty(_Encodable):
+@_frame(protocol.DIRTY, ("call_id", UINT), ("target", WIREREP),
+        ("seqno", UINT))
+class Dirty(Message):
     """Dirty call: register the sender in the object's dirty set.
 
     Carries the client's sequence number; the owner only applies an
@@ -453,161 +354,38 @@ class Dirty(_Encodable):
     client for this object (the paper's out-of-order guard).
     """
 
-    call_id: int
-    target: WireRep
-    seqno: int
-    tag = protocol.DIRTY
 
-    def encode_into(self, out: bytearray) -> None:
-        out.append(self.tag)
-        write_uvarint(out, self.call_id)
-        self.target.to_wire(out)
-        write_uvarint(out, self.seqno)
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "Dirty":
-        call_id, offset = read_uvarint(data, offset)
-        target, offset = WireRep.from_wire(data, offset)
-        seqno, offset = read_uvarint(data, offset)
-        return cls(call_id, target, seqno)
-
-
-@dataclass(frozen=True)
-class DirtyAck(_Encodable):
+@_frame(protocol.DIRTY_ACK, ("call_id", UINT), ("ok", FLAG),
+        ("error", STR, ""))
+class DirtyAck(Message):
     """Owner's reply to a dirty call; ``ok`` is False when the object
     is already gone (the client then raises NoSuchObjectError)."""
 
-    call_id: int
-    ok: bool
-    error: str = ""
-    tag = protocol.DIRTY_ACK
 
-    def encode_into(self, out: bytearray) -> None:
-        out.append(self.tag)
-        write_uvarint(out, self.call_id)
-        out.append(1 if self.ok else 0)
-        _write_str(out, self.error)
+@_frame(protocol.CLEAN_BATCH, ("call_id", UINT), ("entries", ENTRIES))
+class CleanBatch(Message):
+    """Clean calls to one owner: remove the sender from each object's
+    dirty set.  Every clean travels in one, a lone clean as a batch of
+    one.
 
-    @classmethod
-    def decode(cls, data, offset: int) -> "DirtyAck":
-        call_id, offset = read_uvarint(data, offset)
-        if offset >= len(data):
-            raise UnmarshalError("truncated DirtyAck")
-        ok = bool(data[offset])
-        error, offset = _read_str(data, offset + 1)
-        return cls(call_id, ok, error)
-
-
-@dataclass(frozen=True)
-class Clean(_Encodable):
-    """Clean call: remove the sender from the object's dirty set.
-
-    A *strong* clean (paper §2.3) also bumps past any dirty call the
+    ``entries`` is a tuple of ``(target, seqno, strong)`` triples.  A
+    *strong* clean (paper §2.3) also bumps past any dirty call the
     client believes may have failed, guaranteeing that a late dirty
-    arrival cannot resurrect the entry.
+    arrival cannot resurrect the entry.  The owner applies the entries
+    independently (the per-entry seqno guard still holds), so a
+    retried batch — same seqnos — is idempotent.
     """
 
-    call_id: int
-    target: WireRep
-    seqno: int
-    strong: bool = False
-    tag = protocol.CLEAN
 
-    def encode_into(self, out: bytearray) -> None:
-        out.append(self.tag)
-        write_uvarint(out, self.call_id)
-        self.target.to_wire(out)
-        write_uvarint(out, self.seqno)
-        out.append(1 if self.strong else 0)
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "Clean":
-        call_id, offset = read_uvarint(data, offset)
-        target, offset = WireRep.from_wire(data, offset)
-        seqno, offset = read_uvarint(data, offset)
-        if offset >= len(data):
-            raise UnmarshalError("truncated Clean")
-        strong = bool(data[offset])
-        return cls(call_id, target, seqno, strong)
-
-
-@dataclass(frozen=True)
-class CleanAck(_Encodable):
-    call_id: int
-    tag = protocol.CLEAN_ACK
-
-    def encode_into(self, out: bytearray) -> None:
-        out.append(self.tag)
-        write_uvarint(out, self.call_id)
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "CleanAck":
-        call_id, offset = read_uvarint(data, offset)
-        return cls(call_id)
-
-
-@dataclass(frozen=True)
-class CleanBatch(_Encodable):
-    """Several clean calls to one owner in one frame.
-
-    ``entries`` is a tuple of ``(target, seqno, strong)`` triples, each
-    with exactly the semantics of a standalone :class:`Clean`.  The
-    owner applies the entries independently (the per-entry seqno guard
-    still holds), so a retried batch — same seqnos — is idempotent.
-    """
-
-    call_id: int
-    entries: "tuple[tuple[WireRep, int, bool], ...]"
-    tag = protocol.CLEAN_BATCH
-
-    def encode_into(self, out: bytearray) -> None:
-        out.append(self.tag)
-        write_uvarint(out, self.call_id)
-        write_uvarint(out, len(self.entries))
-        for target, seqno, strong in self.entries:
-            target.to_wire(out)
-            write_uvarint(out, seqno)
-            out.append(1 if strong else 0)
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "CleanBatch":
-        call_id, offset = read_uvarint(data, offset)
-        count, offset = read_uvarint(data, offset)
-        entries = []
-        for _ in range(count):
-            target, offset = WireRep.from_wire(data, offset)
-            seqno, offset = read_uvarint(data, offset)
-            if offset >= len(data):
-                raise UnmarshalError("truncated CleanBatch entry")
-            entries.append((target, seqno, bool(data[offset])))
-            offset += 1
-        return cls(call_id, tuple(entries))
-
-
-@dataclass(frozen=True)
-class CleanBatchAck(_Encodable):
+@_frame(protocol.CLEAN_BATCH_ACK, ("call_id", UINT), ("applied", UINT))
+class CleanBatchAck(Message):
     """Owner's reply to a :class:`CleanBatch`; ``applied`` counts the
     entries processed (always the full batch — cleans of unknown
-    objects are no-ops, exactly as for unit cleans)."""
-
-    call_id: int
-    applied: int
-    tag = protocol.CLEAN_BATCH_ACK
-
-    def encode_into(self, out: bytearray) -> None:
-        out.append(self.tag)
-        write_uvarint(out, self.call_id)
-        write_uvarint(out, self.applied)
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "CleanBatchAck":
-        call_id, offset = read_uvarint(data, offset)
-        applied, offset = read_uvarint(data, offset)
-        return cls(call_id, applied)
+    objects are no-ops)."""
 
 
-@dataclass(frozen=True)
-class CopyAck(_Encodable):
+@_frame(protocol.COPY_ACK, ("target", WIREREP), ("copy_id", UINT))
+class CopyAck(Message):
     """Receiver acknowledges a reference copy (one-way, no reply).
 
     Releases the sender's transient dirty entry identified by
@@ -615,99 +393,32 @@ class CopyAck(_Encodable):
     which is exactly what makes the Figure-1 race impossible.
     """
 
-    target: WireRep
-    copy_id: int
-    tag = protocol.COPY_ACK
 
-    def encode_into(self, out: bytearray) -> None:
-        out.append(self.tag)
-        self.target.to_wire(out)
-        write_uvarint(out, self.copy_id)
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "CopyAck":
-        target, offset = WireRep.from_wire(data, offset)
-        copy_id, offset = read_uvarint(data, offset)
-        return cls(target, copy_id)
-
-
-@dataclass(frozen=True)
-class Ping(_Encodable):
+@_frame(protocol.PING, ("call_id", UINT))
+class Ping(Message):
     """Owner-to-client liveness probe (paper §2.4)."""
 
-    call_id: int
-    tag = protocol.PING
 
-    def encode_into(self, out: bytearray) -> None:
-        out.append(self.tag)
-        write_uvarint(out, self.call_id)
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "Ping":
-        call_id, offset = read_uvarint(data, offset)
-        return cls(call_id)
-
-
-@dataclass(frozen=True)
-class PingAck(_Encodable):
-    call_id: int
-    tag = protocol.PING_ACK
-
-    def encode_into(self, out: bytearray) -> None:
-        out.append(self.tag)
-        write_uvarint(out, self.call_id)
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "PingAck":
-        call_id, offset = read_uvarint(data, offset)
-        return cls(call_id)
+@_frame(protocol.PING_ACK, ("call_id", UINT))
+class PingAck(Message):
+    """Client's answer to a :class:`Ping`."""
 
 
 # -- read leases -------------------------------------------------------------
 
-def encode_lease_grant_prefix(out: bytearray, call_id: int, lease_id: int,
-                              ttl_ms: int, version: int) -> None:
-    """Write a successful LEASE_GRANT envelope; the state snapshot
-    pickle follows as trailing bytes (same zero-copy discipline as
-    RESULT)."""
-    out.append(protocol.LEASE_GRANT)
-    write_uvarint(out, call_id)
-    out.append(1)  # ok
-    write_uvarint(out, lease_id)
-    write_uvarint(out, ttl_ms)
-    write_uvarint(out, version)
-    _write_str(out, "")
-
-
-@dataclass(frozen=True)
-class LeaseReq(_Encodable):
+@_frame(protocol.LEASE_REQ, ("call_id", UINT), ("target", WIREREP),
+        ("ttl_ms", UINT))
+class LeaseReq(Message):
     """Client asks the owner for a read lease on ``target``.
 
     ``ttl_ms`` is the TTL the client would like; the owner may grant
     less (its configured cap) but never more.
     """
 
-    call_id: int
-    target: WireRep
-    ttl_ms: int
-    tag = protocol.LEASE_REQ
 
-    def encode_into(self, out: bytearray) -> None:
-        out.append(self.tag)
-        write_uvarint(out, self.call_id)
-        self.target.to_wire(out)
-        write_uvarint(out, self.ttl_ms)
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "LeaseReq":
-        call_id, offset = read_uvarint(data, offset)
-        target, offset = WireRep.from_wire(data, offset)
-        ttl_ms, offset = read_uvarint(data, offset)
-        return cls(call_id, target, ttl_ms)
-
-
-@dataclass(frozen=True)
-class LeaseRenew(_Encodable):
+@_frame(protocol.LEASE_RENEW, ("call_id", UINT), ("target", WIREREP),
+        ("lease_id", UINT), ("ttl_ms", UINT))
+class LeaseRenew(Message):
     """Refresh request for a previously granted lease.
 
     Semantically a :class:`LeaseReq` that also names the prior
@@ -715,29 +426,11 @@ class LeaseRenew(_Encodable):
     waiting for its expiry.  The reply is a fresh LEASE_GRANT.
     """
 
-    call_id: int
-    target: WireRep
-    lease_id: int
-    ttl_ms: int
-    tag = protocol.LEASE_RENEW
 
-    def encode_into(self, out: bytearray) -> None:
-        out.append(self.tag)
-        write_uvarint(out, self.call_id)
-        self.target.to_wire(out)
-        write_uvarint(out, self.lease_id)
-        write_uvarint(out, self.ttl_ms)
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "LeaseRenew":
-        call_id, offset = read_uvarint(data, offset)
-        target, offset = WireRep.from_wire(data, offset)
-        lease_id, offset = read_uvarint(data, offset)
-        ttl_ms, offset = read_uvarint(data, offset)
-        return cls(call_id, target, lease_id, ttl_ms)
-
-
-class LeaseGrant(_Encodable):
+@_frame(protocol.LEASE_GRANT, ("call_id", UINT), ("ok", FLAG),
+        ("lease_id", UINT), ("ttl_ms", UINT), ("version", UINT),
+        ("error", STR), ("snapshot_pickle", TRAILING))
+class LeaseGrant(Message):
     """Owner's reply to LEASE_REQ / LEASE_RENEW.
 
     On success (``ok``) it carries the lease id, the granted TTL, the
@@ -745,89 +438,19 @@ class LeaseGrant(_Encodable):
     a RESULT pickle — the snapshot of the object's lease-safe state.
     On denial the snapshot is empty and ``error`` says why; the client
     falls back to per-call RPC.
-
-    A ``__slots__`` class (not a frozen dataclass) for the same reason
-    as :class:`Result`: it carries a bulk pickle on the hot read path.
     """
 
-    __slots__ = ("call_id", "ok", "lease_id", "ttl_ms", "version", "error",
-                 "snapshot_pickle")
-    tag = protocol.LEASE_GRANT
 
-    def __init__(self, call_id: int, ok: bool, lease_id: int, ttl_ms: int,
-                 version: int, error: str, snapshot_pickle) -> None:
-        self.call_id = call_id
-        self.ok = ok
-        self.lease_id = lease_id
-        self.ttl_ms = ttl_ms
-        self.version = version
-        self.error = error
-        self.snapshot_pickle = snapshot_pickle
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LeaseGrant):
-            return (self.call_id == other.call_id and self.ok == other.ok
-                    and self.lease_id == other.lease_id
-                    and self.ttl_ms == other.ttl_ms
-                    and self.version == other.version
-                    and self.error == other.error
-                    and self.snapshot_pickle == other.snapshot_pickle)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"LeaseGrant(call_id={self.call_id}, ok={self.ok}, "
-                f"lease_id={self.lease_id}, ttl_ms={self.ttl_ms}, "
-                f"version={self.version}, error={self.error!r}, "
-                f"snapshot_pickle=<{len(self.snapshot_pickle)} bytes>)")
-
-    def encode_into(self, out: bytearray) -> None:
-        out.append(self.tag)
-        write_uvarint(out, self.call_id)
-        out.append(1 if self.ok else 0)
-        write_uvarint(out, self.lease_id)
-        write_uvarint(out, self.ttl_ms)
-        write_uvarint(out, self.version)
-        _write_str(out, self.error)
-        out += self.snapshot_pickle
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "LeaseGrant":
-        call_id, offset = read_uvarint(data, offset)
-        if offset >= len(data):
-            raise UnmarshalError("truncated LeaseGrant")
-        ok = bool(data[offset])
-        lease_id, offset = read_uvarint(data, offset + 1)
-        ttl_ms, offset = read_uvarint(data, offset)
-        version, offset = read_uvarint(data, offset)
-        error, offset = _read_str(data, offset)
-        return cls(call_id, ok, lease_id, ttl_ms, version, error,
-                   _trailing(data, offset))
-
-
-@dataclass(frozen=True)
-class LeaseRelease(_Encodable):
+@_frame(protocol.LEASE_RELEASE, ("target", WIREREP), ("lease_id", UINT))
+class LeaseRelease(Message):
     """Client gives up a lease early (one-way, no reply) — sent just
-    before a CLEAN so the owner retires the lease without waiting for
+    before a clean so the owner retires the lease without waiting for
     its deadline."""
 
-    target: WireRep
-    lease_id: int
-    tag = protocol.LEASE_RELEASE
 
-    def encode_into(self, out: bytearray) -> None:
-        out.append(self.tag)
-        self.target.to_wire(out)
-        write_uvarint(out, self.lease_id)
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "LeaseRelease":
-        target, offset = WireRep.from_wire(data, offset)
-        lease_id, offset = read_uvarint(data, offset)
-        return cls(target, lease_id)
-
-
-@dataclass(frozen=True)
-class LeaseInvalidate(_Encodable):
+@_frame(protocol.LEASE_INVALIDATE, ("call_id", UINT), ("target", WIREREP),
+        ("lease_id", UINT), ("version", UINT))
+class LeaseInvalidate(Message):
     """Owner tells a lease holder its cached state is stale.
 
     Sent on the write path *before* the mutation's result is released;
@@ -836,41 +459,10 @@ class LeaseInvalidate(_Encodable):
     at one RTT.  ``version`` is the owner's new lease version.
     """
 
-    call_id: int
-    target: WireRep
-    lease_id: int
-    version: int
-    tag = protocol.LEASE_INVALIDATE
 
-    def encode_into(self, out: bytearray) -> None:
-        out.append(self.tag)
-        write_uvarint(out, self.call_id)
-        self.target.to_wire(out)
-        write_uvarint(out, self.lease_id)
-        write_uvarint(out, self.version)
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "LeaseInvalidate":
-        call_id, offset = read_uvarint(data, offset)
-        target, offset = WireRep.from_wire(data, offset)
-        lease_id, offset = read_uvarint(data, offset)
-        version, offset = read_uvarint(data, offset)
-        return cls(call_id, target, lease_id, version)
-
-
-@dataclass(frozen=True)
-class LeaseInvalidateAck(_Encodable):
-    call_id: int
-    tag = protocol.LEASE_INVALIDATE_ACK
-
-    def encode_into(self, out: bytearray) -> None:
-        out.append(self.tag)
-        write_uvarint(out, self.call_id)
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "LeaseInvalidateAck":
-        call_id, offset = read_uvarint(data, offset)
-        return cls(call_id)
+@_frame(protocol.LEASE_INVALIDATE_ACK, ("call_id", UINT))
+class LeaseInvalidateAck(Message):
+    """Holder confirms it dropped the cached state."""
 
 
 # -- bulk-data plane ---------------------------------------------------------
@@ -889,15 +481,10 @@ END_FAULT = 1           # the stream failed; ``kind``/``message`` say why
 END_CANCEL = 2          # consumer: stop producing; producer: stopped
 
 
-def encode_stream_data_header(out: bytearray, stream_id: int) -> None:
-    """Write a STREAM_DATA envelope; the chunk follows as raw trailing
-    bytes — sent as its own piece, never copied behind the header."""
-    out.append(protocol.STREAM_DATA)
-    write_uvarint(out, stream_id)
-
-
-@dataclass(frozen=True)
-class StreamOpen(_Encodable):
+@_frame(protocol.STREAM_OPEN, ("stream_id", UINT), ("target", WIREREP),
+        ("direction", frozenset({STREAM_READ, STREAM_WRITE})),
+        ("credit", UINT))
+class StreamOpen(Message):
     """Bind ``stream_id`` to the stream object ``target``.
 
     ``credit`` is the byte window: for a read stream, how much the
@@ -908,87 +495,26 @@ class StreamOpen(_Encodable):
     ``"ServerBusy"`` when admission control shed it).
     """
 
-    stream_id: int
-    target: WireRep
-    direction: int
-    credit: int
-    tag = protocol.STREAM_OPEN
 
-    def encode_into(self, out: bytearray) -> None:
-        out.append(self.tag)
-        write_uvarint(out, self.stream_id)
-        self.target.to_wire(out)
-        out.append(self.direction)
-        write_uvarint(out, self.credit)
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "StreamOpen":
-        stream_id, offset = read_uvarint(data, offset)
-        target, offset = WireRep.from_wire(data, offset)
-        if offset >= len(data):
-            raise UnmarshalError("truncated StreamOpen")
-        direction = data[offset]
-        if direction not in (STREAM_READ, STREAM_WRITE):
-            raise UnmarshalError(f"bad stream direction {direction}")
-        credit, offset = read_uvarint(data, offset + 1)
-        return cls(stream_id, target, direction, credit)
-
-
-class StreamData(_Encodable):
+@_frame(protocol.STREAM_DATA, ("stream_id", UINT), ("data", TRAILING))
+class StreamData(Message):
     """One chunk of a stream: ``stream_id`` then the raw bytes as the
     frame's trailing payload (zero-copy view on decode, like a RESULT
-    pickle).  A ``__slots__`` class: one per chunk on the bulk path."""
-
-    __slots__ = ("stream_id", "data")
-    tag = protocol.STREAM_DATA
-
-    def __init__(self, stream_id: int, data) -> None:
-        self.stream_id = stream_id
-        self.data = data
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, StreamData):
-            return (self.stream_id == other.stream_id
-                    and self.data == other.data)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"StreamData(stream_id={self.stream_id}, "
-                f"data=<{len(self.data)} bytes>)")
-
-    def encode_into(self, out: bytearray) -> None:
-        encode_stream_data_header(out, self.stream_id)
-        out += self.data
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "StreamData":
-        stream_id, offset = read_uvarint(data, offset)
-        return cls(stream_id, _trailing(data, offset))
+    pickle).  The sender writes the envelope with ``encode_prefix`` and
+    hands the chunk to the channel as its own piece, never copied
+    behind the header."""
 
 
-@dataclass(frozen=True)
-class StreamCredit(_Encodable):
+@_frame(protocol.STREAM_CREDIT, ("stream_id", UINT), ("credit", UINT))
+class StreamCredit(Message):
     """The receiver consumed ``credit`` bytes: the sender may send
     that many more."""
 
-    stream_id: int
-    credit: int
-    tag = protocol.STREAM_CREDIT
 
-    def encode_into(self, out: bytearray) -> None:
-        out.append(self.tag)
-        write_uvarint(out, self.stream_id)
-        write_uvarint(out, self.credit)
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "StreamCredit":
-        stream_id, offset = read_uvarint(data, offset)
-        credit, offset = read_uvarint(data, offset)
-        return cls(stream_id, credit)
-
-
-@dataclass(frozen=True)
-class StreamEnd(_Encodable):
+@_frame(protocol.STREAM_END, ("stream_id", UINT),
+        ("status", frozenset({END_OK, END_FAULT, END_CANCEL})),
+        ("total", UINT, 0), ("kind", STR, ""), ("message", STR, ""))
+class StreamEnd(Message):
     """End of a stream, in either direction.
 
     From the producer it is the last frame of the stream: ``END_OK``
@@ -1000,85 +526,13 @@ class StreamEnd(_Encodable):
     its own STREAM_END.
     """
 
-    stream_id: int
-    status: int
-    total: int = 0
-    kind: str = ""
-    message: str = ""
-    tag = protocol.STREAM_END
-
-    def encode_into(self, out: bytearray) -> None:
-        out.append(self.tag)
-        write_uvarint(out, self.stream_id)
-        out.append(self.status)
-        write_uvarint(out, self.total)
-        _write_str(out, self.kind)
-        _write_str(out, self.message)
-
-    @classmethod
-    def decode(cls, data, offset: int) -> "StreamEnd":
-        stream_id, offset = read_uvarint(data, offset)
-        if offset >= len(data):
-            raise UnmarshalError("truncated StreamEnd")
-        status = data[offset]
-        if status not in (END_OK, END_FAULT, END_CANCEL):
-            raise UnmarshalError(f"bad stream end status {status}")
-        total, offset = read_uvarint(data, offset + 1)
-        kind, offset = _read_str(data, offset)
-        message, offset = _read_str(data, offset)
-        return cls(stream_id, status, total, kind, message)
-
-
-Message = Union[
-    Hello, HelloAck, Bye, Result, Fault, Busy,
-    BindCall, BoundCall, FastCall, FastResult,
-    Dirty, DirtyAck, Clean, CleanAck, CleanBatch, CleanBatchAck,
-    CopyAck, Ping, PingAck,
-    LeaseReq, LeaseGrant, LeaseRenew, LeaseRelease,
-    LeaseInvalidate, LeaseInvalidateAck,
-    StreamOpen, StreamData, StreamCredit, StreamEnd,
-]
-
-_DECODERS = {
-    protocol.HELLO: Hello.decode,
-    protocol.HELLO_ACK: HelloAck.decode,
-    protocol.BYE: Bye.decode,
-    protocol.RESULT: Result.decode,
-    protocol.FAULT: Fault.decode,
-    protocol.CALL_BIND: BindCall.decode,
-    protocol.CALL_BOUND: BoundCall.decode,
-    protocol.CALL_FAST: FastCall.decode,
-    protocol.RESULT_FAST: FastResult.decode,
-    protocol.BUSY: Busy.decode,
-    protocol.DIRTY: Dirty.decode,
-    protocol.DIRTY_ACK: DirtyAck.decode,
-    protocol.CLEAN: Clean.decode,
-    protocol.CLEAN_ACK: CleanAck.decode,
-    protocol.CLEAN_BATCH: CleanBatch.decode,
-    protocol.CLEAN_BATCH_ACK: CleanBatchAck.decode,
-    protocol.COPY_ACK: CopyAck.decode,
-    protocol.PING: Ping.decode,
-    protocol.PING_ACK: PingAck.decode,
-    protocol.LEASE_REQ: LeaseReq.decode,
-    protocol.LEASE_GRANT: LeaseGrant.decode,
-    protocol.LEASE_RENEW: LeaseRenew.decode,
-    protocol.LEASE_RELEASE: LeaseRelease.decode,
-    protocol.LEASE_INVALIDATE: LeaseInvalidate.decode,
-    protocol.LEASE_INVALIDATE_ACK: LeaseInvalidateAck.decode,
-    protocol.STREAM_OPEN: StreamOpen.decode,
-    protocol.STREAM_DATA: StreamData.decode,
-    protocol.STREAM_CREDIT: StreamCredit.decode,
-    protocol.STREAM_END: StreamEnd.decode,
-}
 
 #: Replies carry a ``call_id`` matched against the issuer's pending table.
-REPLY_TAGS = frozenset(
-    {protocol.RESULT, protocol.RESULT_FAST, protocol.FAULT,
-     protocol.BUSY,
-     protocol.DIRTY_ACK, protocol.CLEAN_ACK, protocol.CLEAN_BATCH_ACK,
-     protocol.PING_ACK, protocol.LEASE_GRANT,
-     protocol.LEASE_INVALIDATE_ACK}
-)
+REPLY_TAGS = frozenset({
+    protocol.RESULT, protocol.RESULT_FAST, protocol.FAULT, protocol.BUSY,
+    protocol.DIRTY_ACK, protocol.CLEAN_BATCH_ACK, protocol.PING_ACK,
+    protocol.LEASE_GRANT, protocol.LEASE_INVALIDATE_ACK,
+})
 
 
 def decode(data) -> Message:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 #: The one protocol version this runtime speaks.  Both HELLO version
 #: fields carry it; a peer announcing anything lower is refused.
-PROTOCOL_VERSION = 7
+PROTOCOL_VERSION = 8
 
 # --- connection management -------------------------------------------------
 HELLO = 0x01          # handshake: protocol version + SpaceID + nickname
@@ -37,12 +37,12 @@ BUSY = 0x17           # request shed under overload: reason + retry-after hint
 # --- distributed garbage collector ----------------------------------------
 DIRTY = 0x20          # client registers itself in the owner's dirty set
 DIRTY_ACK = 0x21      # owner acknowledges the dirty call
-CLEAN = 0x22          # client leaves the owner's dirty set
-CLEAN_ACK = 0x23      # owner acknowledges the clean call
+# 0x22/0x23 are retired (the unit CLEAN and its ack): every clean is a
+# CLEAN_BATCH, a lone clean a batch of one.
 COPY_ACK = 0x24       # receiver acknowledges receipt of a reference copy
 PING = 0x25           # owner probes a client believed to hold surrogates
 PING_ACK = 0x26       # client liveness reply
-CLEAN_BATCH = 0x27    # several clean calls for one owner in one frame
+CLEAN_BATCH = 0x27    # clean calls for one owner (one or more) in one frame
 CLEAN_BATCH_ACK = 0x28  # owner acknowledges a whole clean batch
 
 # --- read leases -----------------------------------------------------------
@@ -59,36 +59,10 @@ STREAM_DATA = 0x41      # stream id + raw trailing bytes (no pickle)
 STREAM_CREDIT = 0x42    # receiver grants the sender more byte credit
 STREAM_END = 0x43       # producer: finished (ok/fault + total); consumer: cancel
 
+#: Tag -> name, for every live tag above (retired tags have no constant).
 _NAMES = {
-    HELLO: "HELLO",
-    HELLO_ACK: "HELLO_ACK",
-    BYE: "BYE",
-    RESULT: "RESULT",
-    FAULT: "FAULT",
-    CALL_BIND: "CALL_BIND",
-    CALL_BOUND: "CALL_BOUND",
-    CALL_FAST: "CALL_FAST",
-    RESULT_FAST: "RESULT_FAST",
-    BUSY: "BUSY",
-    DIRTY: "DIRTY",
-    DIRTY_ACK: "DIRTY_ACK",
-    CLEAN: "CLEAN",
-    CLEAN_ACK: "CLEAN_ACK",
-    COPY_ACK: "COPY_ACK",
-    PING: "PING",
-    PING_ACK: "PING_ACK",
-    CLEAN_BATCH: "CLEAN_BATCH",
-    CLEAN_BATCH_ACK: "CLEAN_BATCH_ACK",
-    LEASE_REQ: "LEASE_REQ",
-    LEASE_GRANT: "LEASE_GRANT",
-    LEASE_RENEW: "LEASE_RENEW",
-    LEASE_RELEASE: "LEASE_RELEASE",
-    LEASE_INVALIDATE: "LEASE_INVALIDATE",
-    LEASE_INVALIDATE_ACK: "LEASE_INVALIDATE_ACK",
-    STREAM_OPEN: "STREAM_OPEN",
-    STREAM_DATA: "STREAM_DATA",
-    STREAM_CREDIT: "STREAM_CREDIT",
-    STREAM_END: "STREAM_END",
+    value: name for name, value in list(globals().items())
+    if name.isupper() and type(value) is int and name != "PROTOCOL_VERSION"
 }
 
 #: Tags of the bulk-data plane.

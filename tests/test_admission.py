@@ -108,7 +108,7 @@ class TestBusyWire:
         # of the one protocol version decodes it.
         assert protocol.BUSY in messages.REPLY_TAGS
         assert protocol.tag_name(protocol.BUSY) == "BUSY"
-        assert protocol.PROTOCOL_VERSION == 7
+        assert protocol.PROTOCOL_VERSION == 8
 
     def test_server_busy_exception_carries_hints(self):
         exc = ServerBusy("rate limit", 0.25)
@@ -400,6 +400,9 @@ class TestEndToEndShedding:
             cold_b = client_b.import_object(endpoint, "cold")
             for gate in (hot_a, hot_b, cold_b):
                 assert gate.hold() == "done"    # binds the method id
+                # The reply leaves before the worker frees the object's
+                # slot; the next warm-up call must not race that.
+                assert wait_until(lambda: not server.admission._bulkhead)
             hot.open.clear()
             hot.entered.clear()
             running = async_call(hot_a.hold)

@@ -40,7 +40,8 @@ class FakeOwner:
         self.fail_dirty_with = None
         self.fail_clean_times = 0
 
-    def gc_request(self, endpoints, kind, *, target, seqno, strong=False):
+    def gc_request(self, endpoints, kind, *, target=None, seqno=0,
+                   entries=()):
         if kind == "dirty":
             self.dirty_gate.wait(5)
             with self.lock:
@@ -52,7 +53,8 @@ class FakeOwner:
         else:
             self.clean_gate.wait(5)
             with self.lock:
-                self.log.append(("clean", target, seqno, strong))
+                for target, seqno, strong in entries:
+                    self.log.append(("clean", target, seqno, strong))
                 if self.fail_clean_times > 0:
                     self.fail_clean_times -= 1
                     raise CommFailure("clean lost")
@@ -80,9 +82,9 @@ class ManualDaemon:
             claim = self.client.begin_clean(wirerep)
             if claim is None:
                 continue
-            entry, seqno, strong = claim
+            entry = claim[0]
             try:
-                self.client.send_clean(entry, seqno, strong)
+                self.client.send_clean_batch(entry.endpoints, [claim])
                 ok = True
             except CommFailure:
                 ok = delivered  # emulate retries succeeding or not

@@ -107,7 +107,6 @@ class _FakeClient:
     def __init__(self, claims):
         self.claims = claims
         self.batches = []
-        self.units = []
         self.finished = []
 
     def attach_daemon(self, daemon):
@@ -118,9 +117,6 @@ class _FakeClient:
 
     def send_clean_batch(self, endpoints, claims):
         self.batches.append((endpoints, list(claims)))
-
-    def send_clean(self, entry, seqno, strong):
-        self.units.append((entry, seqno, strong))
 
     def finish_clean(self, entry, delivered):
         self.finished.append((entry, delivered))
@@ -145,12 +141,12 @@ class TestDaemonBatching:
             daemon._process_batch(["w-a", "w-resurrected", "w-b", "w-c"])
         finally:
             daemon.stop()
-        # Owner 1 got one batch of two; owner 2's singleton stayed a
-        # unit clean; the cancelled claim appears nowhere.
+        # Owner 1 got one batch of two, owner 2 a batch of one; the
+        # cancelled claim appears nowhere.
         assert fake.batches == [
-            (("e://owner-1",), [(entry_a, 5, False), (entry_b, 9, True)])
+            (("e://owner-1",), [(entry_a, 5, False), (entry_b, 9, True)]),
+            (("e://owner-2",), [(entry_c, 2, False)]),
         ]
-        assert fake.units == [(entry_c, 2, False)]
         assert sorted(fake.finished, key=lambda pair: id(pair[0])) == sorted(
             [(entry_a, True), (entry_b, True), (entry_c, True)],
             key=lambda pair: id(pair[0]),
@@ -164,7 +160,6 @@ class TestDaemonBatching:
         finally:
             daemon.stop()
         assert fake.batches == []
-        assert fake.units == []
         assert fake.finished == []
 
 

@@ -581,7 +581,7 @@ class TestLeaseCodecs:
 
     def test_grant_prefix_matches_the_class_codec(self):
         out = bytearray()
-        messages.encode_lease_grant_prefix(out, 9, 21, 4500, 3)
+        messages.LeaseGrant.encode_prefix(out, 9, True, 21, 4500, 3, "")
         out += b"\xaa\xbb"
         decoded = messages.decode(bytes(out))
         assert decoded == messages.LeaseGrant(9, True, 21, 4500, 3, "",

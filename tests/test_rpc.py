@@ -1,46 +1,121 @@
 """Unit tests for the RPC layer: messages, dispatcher, connections, cache."""
 
+import json
 import queue
+import re
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.errors import CallTimeout, CommFailure, ProtocolError
+from repro.errors import CallTimeout, CommFailure, ProtocolError, UnmarshalError
 from repro.rpc import messages
 from repro.rpc.cache import ConnectionCache
 from repro.rpc.connection import Connection
 from repro.rpc.dispatcher import Dispatcher
 from repro.transport.inprocess import channel_pair
-from repro.wire.ids import fresh_space_id
+from repro.wire import protocol
+from repro.wire.ids import SpaceID, fresh_space_id
 from repro.wire.wirerep import WireRep
+
+
+#: The wire bytes of every corpus frame, as hex.  Generated by the
+#: hand-written codecs the spec compiler replaced, so every frame must
+#: stay byte-identical; regenerate only with a protocol bump:
+#: ``PYTHONPATH=src python -m tests.test_rpc``.
+_GOLDEN_PATH = Path(__file__).with_name("messages_golden.json")
+
+_OWNER = SpaceID(0x0123456789ABCDEF, 0xFEDCBA9876543210, "owner")
+_PEER = SpaceID(0x1111111111111111, 0x2222222222222222, "peer")
+
+
+def message_corpus():
+    """Named example frames: every frame class at least once, with
+    multi-byte varints, empty and non-ASCII strings, empty trailing
+    payloads and the ``StreamEnd`` defaults."""
+    m = messages
+    rep, far = WireRep(_OWNER, 7), WireRep(_PEER, 300)
+    return [
+        ("hello", m.Hello(_PEER, "peer", 7, 7)),
+        ("hello-newer", m.Hello(_PEER, "p\u00e9er", 7, 130)),
+        ("hello-ack", m.HelloAck(_OWNER, "owner", 7, 7)),
+        ("bye", m.Bye()),
+        ("bind-call", m.BindCall(3, 1, rep, "deposit", b"\x00\x01\x02")),
+        ("bind-call-empty", m.BindCall(4, 2, rep, "", b"")),
+        ("bind-call-wide", m.BindCall(70000, 300, far, "d\u00e9p\u00f4t", b"x")),
+        ("bound-call", m.BoundCall(5, 1, b"\x00\x01")),
+        ("bound-call-wide", m.BoundCall(2 ** 40, 127, b"")),
+        ("fast-call", m.FastCall(123456, 7, b"\x00")),
+        ("result", m.Result(3, b"\x07")),
+        ("result-empty", m.Result(0, b"")),
+        ("fast-result", m.FastResult(123456, b"\x00")),
+        ("fault", m.Fault(3, "ValueError", "bad amount", "Traceback ...")),
+        ("fault-empty", m.Fault(9, "", "", "")),
+        ("busy", m.Busy(5, "queue full", 50)),
+        ("dirty", m.Dirty(9, rep, 12)),
+        ("dirty-ack", m.DirtyAck(9, True)),
+        ("dirty-ack-error", m.DirtyAck(9, False, "no such object")),
+        ("copy-ack", m.CopyAck(rep, 55)),
+        ("ping", m.Ping(77)),
+        ("ping-ack", m.PingAck(77)),
+        ("clean-batch", m.CleanBatch(12, ((rep, 15, False), (far, 16, True)))),
+        ("clean-batch-one", m.CleanBatch(14, ((rep, 300, True),))),
+        ("clean-batch-empty", m.CleanBatch(13, ())),
+        ("clean-batch-ack", m.CleanBatchAck(12, 2)),
+        ("lease-req", m.LeaseReq(20, rep, 5000)),
+        ("lease-grant", m.LeaseGrant(20, True, 21, 4500, 3, "", b"snap")),
+        ("lease-denied", m.LeaseGrant(22, False, 0, 0, 0, "unleasable", b"")),
+        ("lease-renew", m.LeaseRenew(23, rep, 21, 5000)),
+        ("lease-release", m.LeaseRelease(rep, 21)),
+        ("lease-invalidate", m.LeaseInvalidate(24, far, 21, 4)),
+        ("lease-invalidate-ack", m.LeaseInvalidateAck(24)),
+        ("stream-open-read", m.StreamOpen(1, rep, m.STREAM_READ, 1 << 21)),
+        ("stream-open-write", m.StreamOpen(2, far, m.STREAM_WRITE, 0)),
+        ("stream-data", m.StreamData(1, b"chunk \x00 bytes")),
+        ("stream-data-empty", m.StreamData(3, b"")),
+        ("stream-credit", m.StreamCredit(1, 524288)),
+        ("stream-end-ok", m.StreamEnd(1, m.END_OK, 8 << 20)),
+        ("stream-end-fault", m.StreamEnd(1, m.END_FAULT, 5, "OSError", "disk full")),
+        ("stream-end-defaults", m.StreamEnd(2 ** 40 + 1, m.END_CANCEL)),
+    ]
+
+
+_CORPUS = dict(message_corpus())
 
 
 class TestMessageCodecs:
     def examples(self):
-        rep = WireRep(fresh_space_id("owner"), 7)
-        return [
-            messages.Hello(fresh_space_id("me"), "me"),
-            messages.HelloAck(fresh_space_id("you"), "you"),
-            messages.Bye(),
-            messages.BindCall(3, 1, rep, "deposit", b"\x00\x01\x02"),
-            messages.BindCall(4, 2, rep, "", b""),
-            messages.BoundCall(5, 1, b"\x00\x01"),
-            messages.Result(3, b"\x07"),
-            messages.Fault(3, "ValueError", "bad amount", "Traceback ..."),
-            messages.Dirty(9, rep, 12),
-            messages.DirtyAck(9, True),
-            messages.DirtyAck(9, False, "no such object"),
-            messages.Clean(10, rep, 13, strong=False),
-            messages.Clean(11, rep, 14, strong=True),
-            messages.CleanAck(10),
-            messages.CopyAck(rep, 55),
-            messages.Ping(77),
-            messages.PingAck(77),
-            messages.CleanBatch(12, ((rep, 15, False), (rep, 16, True))),
-            messages.CleanBatch(13, ()),
-            messages.CleanBatchAck(12, 2),
-        ]
+        return list(_CORPUS.values())
+
+    def test_corpus_covers_every_frame_class(self):
+        assert {type(m) for m in self.examples()} == set(
+            messages.FRAMES.values())
+        golden = json.loads(_GOLDEN_PATH.read_text())
+        assert sorted(golden) == sorted(_CORPUS)
+
+    @pytest.mark.parametrize("name", sorted(_CORPUS))
+    def test_encoding_is_pinned(self, name):
+        golden = json.loads(_GOLDEN_PATH.read_text())[name]
+        message = _CORPUS[name]
+        assert message.encode().hex() == golden
+        out = bytearray(b"head")
+        message.encode_into(out)
+        assert out[4:].hex() == golden
+
+    def test_encode_prefix_is_the_envelope(self):
+        for message in self.examples():
+            spec = type(message).fields
+            if not spec:
+                continue  # the hand-written HELLO pair, or BYE
+            trailing = b""
+            if spec[-1][1] == messages.TRAILING:
+                trailing = getattr(message, spec[-1][0])
+                spec = spec[:-1]
+            out = bytearray()
+            type(message).encode_prefix(
+                out, *[getattr(message, field[0]) for field in spec])
+            assert bytes(out) + trailing == message.encode(), message
 
     def test_round_trip_all(self):
         for message in self.examples():
@@ -53,6 +128,38 @@ class TestMessageCodecs:
         for message in self.examples():
             decoded = messages.decode(memoryview(message.encode()))
             assert decoded == message, message
+
+    def test_every_proper_prefix_is_rejected(self):
+        """A cut frame raises — unless all that is missing is trailing
+        payload, or a HELLO's trailing ``max_version`` (the oldest
+        peers' form, which announces ``version``)."""
+        for message in self.examples():
+            encoded = message.encode()
+            for cut in range(len(encoded)):
+                try:
+                    decoded = messages.decode(encoded[:cut])
+                except (UnmarshalError, ProtocolError):
+                    continue
+                assert type(decoded) is type(message), (message, cut)
+                if isinstance(message, messages.Hello):
+                    assert decoded.max_version == decoded.version
+                    assert decoded == type(message)(
+                        message.space_id, message.nickname,
+                        message.version, message.version)
+                else:
+                    assert message.fields[-1][1] == messages.TRAILING
+                    assert decoded.encode() == encoded[:cut], (message, cut)
+
+    def test_bad_enum_bytes_are_rejected(self):
+        opened = bytearray(messages.StreamOpen(
+            1, WireRep(_OWNER, 7), messages.STREAM_READ, 5).encode())
+        opened[-2] = 2  # the direction byte, before a one-byte credit
+        with pytest.raises(UnmarshalError):
+            messages.decode(bytes(opened))
+        ended = bytearray(messages.StreamEnd(1, messages.END_OK).encode())
+        ended[2] = 3  # the status byte
+        with pytest.raises(UnmarshalError):
+            messages.decode(memoryview(ended))
 
     def test_reply_tags_have_call_ids(self):
         for message in self.examples():
@@ -67,11 +174,71 @@ class TestMessageCodecs:
         with pytest.raises(ProtocolError):
             messages.decode(b"\xee")
 
+    @pytest.mark.parametrize("tag", [0x10, 0x22, 0x23])
+    def test_retired_tags_are_unknown(self, tag):
+        assert protocol.tag_name(tag) == f"UNKNOWN(0x{tag:02x})"
+        with pytest.raises(ProtocolError):
+            messages.decode(bytes([tag, 1, 0]))
+
     def test_hello_carries_nickname(self):
         sid = fresh_space_id("alpha")
         decoded = messages.decode(messages.Hello(sid, "alpha").encode())
         assert decoded.space_id == sid
         assert decoded.space_id.nickname == "alpha"
+
+
+class TestProtocolDocument:
+    """PROTOCOL.md section 3's message table against the frame specs,
+    so the two cannot drift."""
+
+    _TOKEN = re.compile(r"\b(varint|str|WireRep|u8|trailing)\b")
+
+    def rows(self):
+        """``(tag, name, layout)`` of every row of the table."""
+        text = (Path(__file__).parents[1] / "PROTOCOL.md").read_text()
+        lines = iter(text.split("## 3. Messages", 1)[1].splitlines())
+        for line in lines:
+            if line.startswith("| tag | name | layout"):
+                break
+        next(lines)  # the |---| rule
+        rows = []
+        for line in lines:
+            if not line.startswith("|"):
+                break
+            tag, name, layout = [cell.strip() for cell in line.split("|")[1:4]]
+            rows.append((int(tag, 16), name, layout))
+        return rows
+
+    def test_live_rows_are_the_registered_frames(self):
+        live = {tag: name for tag, name, _ in self.rows()
+                if name != "*retired*"}
+        assert live == {tag: protocol.tag_name(tag)
+                        for tag in messages.FRAMES}
+
+    def test_retired_rows_are_unregistered(self):
+        rows = self.rows()
+        retired = {tag for tag, name, _ in rows if name == "*retired*"}
+        assert retired == {0x10, 0x22, 0x23}
+        assert len(rows) == len({tag for tag, _, _ in rows})
+        assert not retired & set(messages.FRAMES)
+
+    def test_layouts_match_the_specs(self):
+        kind_tokens = {
+            messages.UINT: ["varint"], messages.STR: ["str"],
+            messages.FLAG: ["u8"], messages.WIREREP: ["WireRep"],
+            messages.ENTRIES: ["varint", "WireRep", "varint", "u8"],
+            messages.TRAILING: ["trailing"],
+        }
+        for tag, name, layout in self.rows():
+            cls = messages.FRAMES.get(tag)
+            if cls is None or issubclass(cls, messages.Hello):
+                continue  # retired, or the hand-written HELLO pair
+            expected = []
+            for field in cls.fields:
+                kind = field[1]
+                expected += (["u8"] if isinstance(kind, frozenset)
+                             else kind_tokens[kind])
+            assert self._TOKEN.findall(layout) == expected, name
 
 
 class TestDispatcher:
@@ -703,13 +870,14 @@ class TestHandshakeEdges:
             write_uvarint(frame, max_version)
         return bytes(frame)
 
-    @pytest.mark.parametrize("hello", [(2, 6), (2, None)],
-                             ids=["max6", "genuine-v2"])
+    @pytest.mark.parametrize("hello", [(2, 6), (2, None), (7, 7)],
+                             ids=["max6", "genuine-v2", "v7"])
     @pytest.mark.parametrize("outbound", [True, False],
                              ids=["dial", "accept"])
     def test_below_floor_peer_fails_fast(self, outbound, hello):
         """A peer whose announced max is below our version — a HELLO
-        carrying max 6, or a genuine v2 HELLO with no trailing field —
+        carrying max 6, a genuine v2 HELLO with no trailing field, or a
+        v7 peer that still sends unit CLEAN frames —
         is refused with ProtocolError during the handshake, in either
         dial direction, well inside the handshake timeout.  The
         acceptor answers HELLO_ACK before closing, so a rejected
@@ -773,3 +941,9 @@ class TestHandshakeEdges:
                 chan_b, fresh_space_id("b"), dispatcher,
                 lambda c, m: None, outbound=False,
             )
+
+
+if __name__ == "__main__":
+    _GOLDEN_PATH.write_text(json.dumps(
+        {name: message.encode().hex() for name, message in message_corpus()},
+        indent=1, sort_keys=True) + "\n")

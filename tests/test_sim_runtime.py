@@ -159,7 +159,7 @@ class TestWireAccounting:
             assert wait_until(lambda: vault_impl.live() == 0)
             tags = transport.stats.by_tag
             assert tags.get(protocol.DIRTY, 0) >= 2       # agent + token
-            assert tags.get(protocol.CLEAN, 0) >= 1
+            assert tags.get(protocol.CLEAN_BATCH, 0) >= 1
             assert tags.get(protocol.COPY_ACK, 0) >= 1
             # Invocations ride the bound-call frames; the call family
             # together is observable.

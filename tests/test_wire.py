@@ -310,7 +310,7 @@ class TestStreamFrames:
         from repro.rpc import messages
 
         head = new_frame()
-        messages.encode_stream_data_header(head, 5)
+        messages.StreamData.encode_prefix(head, 5)
         finish_frame(head, trailing=1000)
         (length,) = struct.unpack("!I", head[:FRAME_HEADER_SIZE])
         assert length == len(head) - FRAME_HEADER_SIZE + 1000
