@@ -178,8 +178,7 @@ class TestTransientPinExpiry:
         from loss to reclamation."""
         from repro.wire import protocol
 
-        gc_config = GcConfig(transient_ttl=0.2,
-                             transient_sweep_interval=0.05)
+        gc_config = GcConfig(transient_ttl=0.2)
 
         def run():
             transport = SimTransport(NetworkModel(

@@ -118,7 +118,8 @@ def main() -> None:
                         timeout=10)
         print("owner purged the dead client; tokens reclaimed:",
               keep_vault_alive.live_tokens() == 0)
-        print("pinger purges performed:", owner.pinger.clients_purged)
+        print("pinger purges performed:",
+              owner.stats()["gc"]["clients_purged"])
     finally:
         courier.shutdown()
         keeper.shutdown()

@@ -24,7 +24,7 @@ import time
 import traceback
 import weakref
 from types import FunctionType
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.leases import HeldLease, LeaseCache, LeaseTable
 from repro.core.marshalctx import MarshalContext, decode_ref
@@ -73,7 +73,7 @@ from repro.rpc.admission import (
 from repro.rpc.cache import ConnectionCache
 from repro.rpc.connection import Connection
 from repro.rpc.dispatcher import Dispatcher
-from repro.rpc.futures import RemoteFuture
+from repro.rpc.futures import CallFuture, RemoteFuture
 from repro.rpc.hotpath import HotpathProfile
 from repro.rpc.streamplane import MAX_WINDOW, StreamStats
 from repro.transport.base import Transport, TransportRegistry, split_endpoint
@@ -298,20 +298,17 @@ class Space:
         )
         self.reactor.start()
 
+        # A connection to an owner whose objects we still reference
+        # is never idle-reaped: the owner's pinger needs it.
         self.cache = ConnectionCache(
             self._dial, idle_ttl=conn_idle_ttl,
             upgrade=self._shm_upgrade if shm != "off" else None,
+            held=self.dgc_client.holds_refs,
         )
         if admission_config is not None:
             self.cache.busy_strike_limit = admission_config.busy_strikes
         if conn_idle_ttl is not None:
-            # The tick only schedules; the sweep itself runs on a
-            # dispatcher worker because its orderly goodbyes wait for
-            # output to flush, which must never stall the I/O loop.
-            self.reactor.add_timer(
-                max(conn_idle_ttl / 4.0, 0.05),
-                lambda: self.dispatcher.submit(self.cache.sweep_idle),
-            )
+            self._every(max(conn_idle_ttl / 4.0, 0.05), self.cache.sweep_idle)
 
         # The agent is the special object: pinned at index 0 so any
         # peer can bootstrap from just our endpoint.
@@ -328,18 +325,31 @@ class Space:
         if self.gc_config.ping_interval is not None:
             self.pinger = Pinger(
                 self.dgc_owner, self._ping_client, self.gc_config,
-                name=f"gc-pinger-{nickname or self.space_id.short()}",
-                on_purge=self._on_client_purged,
+                closed=self._closed.is_set, on_purge=self._on_client_purged,
             )
+            self._every(self.gc_config.ping_interval, self.pinger.round)
+        ttl = self.gc_config.transient_ttl
+        if ttl is not None:
+            self._every(max(ttl / 4.0, 0.05), lambda: self._release_expired(ttl))
 
-        self._sweeper: Optional[threading.Thread] = None
-        if self.gc_config.transient_ttl is not None:
-            self._sweeper = threading.Thread(
-                target=self._sweep_transients,
-                name=f"gc-sweeper-{nickname or self.space_id.short()}",
-                daemon=True,
-            )
-            self._sweeper.start()
+    def _every(self, interval: float, work: Callable[[], None]) -> None:
+        """Periodic work (DESIGN.md): the timer only schedules, a worker
+        runs ``work``, and a tick that finds it still running skips."""
+        running = threading.Lock()
+
+        def run() -> None:
+            try:
+                work()
+            finally:
+                running.release()
+
+        def tick() -> None:
+            if self._closed.is_set() or not running.acquire(blocking=False):
+                return
+            if not self.dispatcher.submit(run, force=True):
+                running.release()
+
+        self.reactor.add_timer(interval, tick)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -366,8 +376,6 @@ class Space:
         agent_shutdown = getattr(self.agent, "_shutdown", None)
         if agent_shutdown is not None:
             agent_shutdown()
-        if self.pinger is not None:
-            self.pinger.stop()
         self.cleanup_daemon.stop()
         for listener in (*self._listeners, *self._shm_listeners):
             listener.close()
@@ -442,6 +450,7 @@ class Space:
         except (CommFailure, ProtocolError):
             return
         self._track(connection)
+        connection.start()
 
     def _shm_upgrade(self, endpoint: str) -> Optional[str]:
         """Map a loopback TCP endpoint to the peer's shm rendezvous
@@ -481,6 +490,7 @@ class Space:
             stream_stats=self.stream_stats,
         )
         self._track(connection)
+        connection.start()
         return connection
 
     def _track(self, connection: Connection) -> None:
@@ -492,12 +502,10 @@ class Space:
             # An accept (or a dial raced by shutdown) landed after the
             # shutdown snapshot walked ``_connections``; nobody else
             # will ever close this connection, so do it here.  Closing
-            # triggers ``_on_conn_close`` via the teardown hook.
+            # triggers ``_on_conn_close`` via the teardown hook.  (A
+            # connection that has not started cannot have closed on
+            # its own: nothing reads its channel yet.)
             connection.close()
-        if connection.closed:
-            # Lost a race with teardown; make sure it is untracked
-            # (teardown may have fired before we were in the set).
-            self._on_conn_close(connection)
 
     def _on_conn_close(self, connection: Connection) -> None:
         with self._conn_lock:
@@ -975,18 +983,10 @@ class Space:
         if fresh:
             client.prefetch_refs(fresh, self._gc_dirty_async)
 
-    def _sweep_transients(self) -> None:
+    def _release_expired(self, ttl: float) -> None:
         """Expire transient pins whose copy_ack never came (the
         receiver presumably died mid-transfer); see
         GcConfig.transient_ttl."""
-        ttl = self.gc_config.transient_ttl
-        interval = self.gc_config.transient_sweep_interval
-        while not self._closed.wait(interval):
-            # One round per helper call: a sleeping thread's frame
-            # locals must not pin the last expired object.
-            self._release_expired(ttl)
-
-    def _release_expired(self, ttl: float) -> None:
         for copy_id, pinned in self.transient.expire(ttl):
             entry = self.object_table.exported_entry_for(pinned)
             if entry is not None and copy_id in entry.tdirty:
@@ -996,16 +996,11 @@ class Space:
             # Surrogate pins: dropping the strong reference is the
             # whole release; local collection does the rest.
 
-    def _ping_client(self, client: SpaceID) -> bool:
+    def _ping_client(self, client: SpaceID) -> Optional[CallFuture]:
         connection = self.connection_to(client)
         if connection is None:
-            return False
-        request = messages.Ping(connection.next_call_id())
-        try:
-            connection.call(request, timeout=self.gc_config.ping_timeout)
-            return True
-        except NetObjError:
-            return False
+            return None
+        return connection.call_async(messages.Ping(connection.next_call_id()))
 
     def _on_client_purged(self, client: SpaceID) -> None:
         """Pinger hook: a client space is dead and its dirty-set
@@ -1575,6 +1570,9 @@ class Space:
             "saturated_submits": self.dispatcher.saturated_submits,
             "failed_cleans": self.cleanup_daemon.cleans_failed,
             "clean_batches_sent": self.clean_batch_frames,
+            "pings_sent": getattr(self.pinger, "pings_sent", 0),
+            "clients_purged": getattr(self.pinger, "clients_purged", 0),
+            "transients_expired": self.transient.expired_total,
         }
 
     def __repr__(self) -> str:

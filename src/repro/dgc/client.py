@@ -30,6 +30,7 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.dgc.config import GcConfig
 from repro.dgc.states import RefState
 from repro.errors import CommFailure, NarrowingError, NetObjError
+from repro.wire.ids import SpaceID
 from repro.wire.wirerep import WireRep
 
 #: ``gc_request(endpoints, kind, **fields) -> reply`` — provided by the
@@ -75,7 +76,7 @@ class TransientTable:
     the surrogate, so the owner keeps the sender in the dirty set.
 
     A lost copy_ack (receiver crashed mid-transfer) would pin forever;
-    :meth:`expire` — driven by the space's sweeper when
+    :meth:`expire` — run periodically by the space when
     ``GcConfig.transient_ttl`` is set — bounds that leak.
     """
 
@@ -147,6 +148,13 @@ class DgcClient:
     def entry_count(self) -> int:
         with self._lock:
             return len(self._entries)
+
+    def holds_refs(self, owner: SpaceID) -> bool:
+        """True while any reference to ``owner``'s objects has an entry
+        here — a live or pinned surrogate, a dirty or clean in flight:
+        the owner may ping us about it."""
+        with self._lock:
+            return any(wirerep.owner == owner for wirerep in self._entries)
 
     def state_of(self, wirerep: WireRep) -> RefState:
         entry = self.entry(wirerep)

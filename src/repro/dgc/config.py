@@ -34,9 +34,8 @@ class GcConfig:
     #: copy_acks unhandled (the formalisation calls this out); the
     #: expiry bounds the resulting pin leak when a receiver dies
     #: mid-transfer.  None (default) preserves the original behaviour.
+    #: Expired entries are swept every ``max(ttl / 4, 0.05)`` seconds.
     transient_ttl: Optional[float] = None
-    #: Sweep period for expired transient entries.
-    transient_sweep_interval: float = 1.0
     #: Upper bound on clean calls shipped to one owner in a single
     #: CLEAN_BATCH frame.  1 disables batching: every clean goes out
     #: as a batch of one.

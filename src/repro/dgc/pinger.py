@@ -10,12 +10,15 @@ We ping over the existing (symmetric) connection to the client; a
 client with no live connection cannot be probed at all, which counts
 as a failed ping.  After ``ping_max_failures`` consecutive failures
 the client is purged from every dirty set — at which point objects it
-alone kept alive become locally collectable.
+alone kept alive become locally collectable.  A round pings every
+client at once against one ``ping_timeout`` deadline; the space runs
+rounds on its timer (DESIGN.md, "Periodic work").
 """
 
 from __future__ import annotations
 
-import threading
+import logging
+import time
 from typing import Callable, Dict, Optional
 
 from repro.dgc.config import GcConfig
@@ -23,62 +26,56 @@ from repro.dgc.owner import DgcOwner
 from repro.errors import NetObjError
 from repro.wire.ids import SpaceID
 
-#: ``ping(client_id) -> bool`` — provided by the space; True on a
-#: timely acknowledgement.
-PingFn = Callable[[SpaceID], bool]
+logger = logging.getLogger("repro.dgc.pinger")
+
+#: ``ping(client_id) -> CallFuture`` — provided by the space; None
+#: when the client has no live connection.
+PingFn = Callable[[SpaceID], Optional[object]]
 
 
 class Pinger:
-    """Periodic client-liveness prober (see module docstring).
+    """Client-liveness prober (see module docstring).
 
+    A round that finds ``closed()`` true after its wait counts
+    nothing: our own shutdown fails every ping in flight.
     ``on_purge(client_id)`` is called after a client is purged from
     the dirty sets — the space hooks it to sweep dangling third-party
     name registrations the dead space owned.
     """
     def __init__(self, owner: DgcOwner, ping: PingFn, config: GcConfig,
-                 name: str = "gc-pinger",
+                 closed: Callable[[], bool],
                  on_purge: Optional[Callable[[SpaceID], None]] = None):
-        if config.ping_interval is None:
-            raise ValueError("Pinger requires ping_interval to be set")
         self._owner = owner
         self._ping = ping
         self._config = config
+        self._closed = closed
         self._on_purge = on_purge
         self._failures: Dict[SpaceID, int] = {}
-        self._stop_event = threading.Event()
         self.clients_purged = 0
         self.pings_sent = 0
-        self._thread = threading.Thread(target=self._run, name=name, daemon=True)
-        self._thread.start()
 
-    def stop(self) -> None:
-        self._stop_event.set()
-        self._thread.join(timeout=5)
-
-    def _run(self) -> None:
-        interval = self._config.ping_interval
-        while not self._stop_event.wait(interval):
-            try:
-                self._round()
-            except Exception:  # noqa: BLE001 - pinger must survive anything
-                import traceback
-
-                traceback.print_exc()
-
-    def _round(self) -> None:
+    def round(self) -> None:
         clients = self._owner.clients()
         # Forget failure counts of clients that cleaned up properly.
         for known in list(self._failures):
             if known not in clients:
                 del self._failures[known]
+        futures = []
         for client in clients:
-            if self._stop_event.is_set():
-                return
             self.pings_sent += 1
             try:
-                alive = self._ping(client)
+                futures.append(self._ping(client))
             except NetObjError:
-                alive = False
+                futures.append(None)
+        deadline = time.monotonic() + self._config.ping_timeout
+        answered = [
+            future is not None and future.exception(
+                max(0.0, deadline - time.monotonic())) is None
+            for future in futures
+        ]
+        if self._closed():
+            return
+        for client, alive in zip(clients, answered):
             if alive:
                 self._failures[client] = 0
                 continue
@@ -91,7 +88,5 @@ class Pinger:
                 if self._on_purge is not None:
                     try:
                         self._on_purge(client)
-                    except Exception:  # noqa: BLE001 - see _run
-                        import traceback
-
-                        traceback.print_exc()
+                    except Exception:  # noqa: BLE001 - purge the rest
+                        logger.exception("on_purge failed for %s", client)

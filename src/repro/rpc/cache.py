@@ -8,7 +8,10 @@ evicted by its ``on_close`` callback and the next call reconnects.
 
 With an ``idle_ttl`` the cache also *reaps*: a periodic sweep (armed
 by the owning space on its reactor's timer) orderly-closes any cached
-connection unused for longer than the TTL.  The eviction-vs-in-flight
+connection unused for longer than the TTL — unless the space still
+holds references to the peer's objects: the peer's pinger probes the
+space over that connection, and a reaped one would look like a dead
+client (the owner purges it).  The eviction-vs-in-flight
 race is resolved at two levels: ``get`` refreshes the last-use stamp
 under the cache lock, so only endpoints quiet for a full TTL are
 candidates, and the final close goes through
@@ -29,6 +32,7 @@ from typing import Callable, Dict, Optional
 
 from repro.errors import CommFailure, SpaceShutdownError
 from repro.rpc.connection import Connection
+from repro.wire.ids import SpaceID
 
 
 class ConnectionCache:
@@ -36,7 +40,8 @@ class ConnectionCache:
     def __init__(self, connect: Callable[[str], Connection],
                  idle_ttl: Optional[float] = None,
                  clock: Callable[[], float] = time.monotonic,
-                 upgrade: Optional[Callable[[str], Optional[str]]] = None):
+                 upgrade: Optional[Callable[[str], Optional[str]]] = None,
+                 held: Optional[Callable[[SpaceID], bool]] = None):
         """``connect(endpoint)`` must build a handshaken Connection.
         ``idle_ttl`` of None disables reaping; ``clock`` is injectable
         so tests can age connections without sleeping.  ``upgrade``
@@ -44,9 +49,11 @@ class ConnectionCache:
         in same-machine shm discovery here); a dial tries the
         alternate first and falls back to the original on failure, and
         the cache entry stays keyed by the *original* endpoint either
-        way."""
+        way.  ``held(peer_id)`` is true while the space references the
+        peer's objects; such a connection is never idle-reaped."""
         self._connect = connect
         self._upgrade = upgrade
+        self._held = held
         self._connections: Dict[str, Connection] = {}
         self._locks: Dict[str, threading.Lock] = {}
         self._last_used: Dict[str, float] = {}
@@ -217,6 +224,7 @@ class ConnectionCache:
         ttl = self.idle_ttl
         if ttl is None:
             return 0
+        held = self._held
         now = self._clock()
         stale = []
         with self._lock:
@@ -224,7 +232,8 @@ class ConnectionCache:
                 return 0
             for endpoint, connection in list(self._connections.items()):
                 last = self._last_used.get(endpoint, now)
-                if now - last >= ttl:
+                if now - last >= ttl and (
+                        held is None or not held(connection.peer_id)):
                     del self._connections[endpoint]
                     stale.append((endpoint, connection))
         reaped = 0

@@ -45,7 +45,7 @@ from repro.rpc.dispatcher import Dispatcher
 from repro.rpc.futures import CallFuture
 from repro.rpc.streamplane import StreamStats, StreamTable
 from repro.transport.base import Channel, SelectableChannel
-from repro.transport.reactor import ChannelPump, Reactor
+from repro.transport.reactor import ChannelPump, ReactorPool
 from repro.wire import protocol
 from repro.wire.framing import BufferPool, finish_frame
 from repro.wire.ids import SpaceID
@@ -90,14 +90,12 @@ _STREAM_FRAME_TAGS = protocol.STREAM_TAGS - {protocol.STREAM_OPEN}
 class Connection:
     """One handshaken channel, fed frames by the space's reactor.
 
-    The handshake itself is synchronous on the constructing thread
-    (dialer thread outbound, the listener's on-connect thread inbound);
-    only after the version check does the channel join the event
-    machinery.  With a ``reactor``, a selectable channel goes
-    nonblocking under the shared selector thread and anything else gets
-    a :class:`ChannelPump` bridge; without one (standalone use, as in
-    the protocol-level tests) a private pump reproduces the classic
-    reader-thread arrangement.
+    A connection goes live in two phases.  The constructor runs the
+    handshake, synchronously on the constructing thread (dialer thread
+    outbound, the listener's on-connect thread inbound), and delivers
+    nothing.  The owner then records the connection (the space's
+    ``_track``) and calls :meth:`start`, so the first frame served
+    already finds it listed and charged to admission.
     """
 
     def __init__(
@@ -109,7 +107,7 @@ class Connection:
         on_close: Optional[Callable[["Connection"], None]] = None,
         outbound: bool = True,
         handshake_timeout: float = 10.0,
-        reactor: Optional[Reactor] = None,
+        reactor: Optional[ReactorPool] = None,
         inline_handler: Optional[
             Callable[["Connection", messages.Message], bool]
         ] = None,
@@ -172,9 +170,7 @@ class Connection:
         self.recv_gate = threading.Event()
         self.recv_gate.set()
         self._admission = admission
-        #: Per-connection credit account; assigned after registration,
-        #: so the first few frames of a very fast peer may slip past
-        #: admission — a benign, bounded slip.
+        #: Per-connection credit account (None with admission off).
         self._gauge = None
         #: The bulk-data plane's streams on this connection.
         self.streams = StreamTable(
@@ -189,33 +185,42 @@ class Connection:
             channel.write_backlog_limit = admission.config.write_backlog_max
             channel.on_backlog_overflow = \
                 lambda: admission.count("backlog_sheds")
-        if reactor is not None and reactor.alive:
-            # ``register`` returns the concrete reactor — the chosen
-            # shard when ``reactor`` is a ReactorPool — so send-side
-            # counters and dispatch affinity follow the right shard.
-            self._reactor = reactor.register(
-                channel, self, name=f"conn-{self.peer_id}"
-            )
-            self._shard = getattr(self._reactor, "index", None)
-        else:
-            # Standalone (no space/reactor): a private pump keeps the
-            # old one-reader-per-connection behaviour for direct users.
-            self._reactor = None
-            ChannelPump(
-                channel, self, name=f"conn-reader-{self.peer_id}",
-                gate=self.recv_gate,
-            ).start()
+
+    def start(self) -> None:
+        """Let frames flow: attach the admission gauge, then hand the
+        channel to the reactor — a selectable channel goes nonblocking
+        under the shard's selector thread, anything else gets a
+        :class:`ChannelPump` bridge.  Without a live reactor
+        (standalone use, as in the protocol-level tests) a private
+        pump reproduces the classic reader-thread arrangement.  A
+        connection closed before it started stays closed."""
+        if self._closed.is_set():
+            return
+        channel = self._channel
+        reactor = self._reactor
+        # The shard is chosen before registration, so frames delivered
+        # the moment the channel joins it already see their shard.
+        shard = reactor.pick() if reactor is not None and reactor.alive \
+            else None
+        self._reactor = shard
+        if shard is not None:
+            self._shard = shard.index
+        admission = self._admission
         if admission is not None:
-            if self._reactor is not None \
-                    and isinstance(channel, SelectableChannel):
-                # Late-bound: self._reactor is the concrete shard here.
-                shard = self._reactor
+            if shard is not None and isinstance(channel, SelectableChannel):
                 pause = lambda: shard.pause_read(channel)   # noqa: E731
                 resume = lambda: shard.resume_read(channel)  # noqa: E731
             else:
                 pause = self.recv_gate.clear
                 resume = self.recv_gate.set
             self._gauge = admission.attach(pause, resume)
+        if shard is not None:
+            shard.register(channel, self, name=f"conn-{self.peer_id}")
+        else:
+            ChannelPump(
+                channel, self, name=f"conn-reader-{self.peer_id}",
+                gate=self.recv_gate,
+            ).start()
 
     # -- handshake ------------------------------------------------------------
 
@@ -527,8 +532,7 @@ class Connection:
                 self._handle_request(self, m)
 
         if gauge is None:
-            # No credit account (admission off, or a frame that raced
-            # ahead of gauge attachment): skip the charging, never the
+            # Admission off: no credit to charge, but never skip the
             # refusal — a dropped request would strand the caller
             # until its timeout.
             if not self._dispatcher.submit(base_task, shard=self._shard,

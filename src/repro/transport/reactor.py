@@ -598,7 +598,8 @@ class ReactorPool:
     lock-free on the per-channel hot path.
 
     Timers arm on shard 0 — housekeeping (the connection cache's idle
-    sweep) does not need spreading.  ``frames_out`` on the pool itself
+    sweep, the collector's ping rounds and transient sweep) does not
+    need spreading.  ``frames_out`` on the pool itself
     counts frames sent before a connection is registered (handshake
     traffic); per-shard counters take over afterwards.
     """
@@ -639,14 +640,17 @@ class ReactorPool:
 
     # -- registration ----------------------------------------------------------
 
-    def register(self, channel: Channel, sink, name: str = "conn") -> Reactor:
-        """Assign ``channel`` to the least-loaded shard; returns it."""
+    def pick(self) -> Reactor:
+        """The least-loaded shard, where the next channel belongs."""
         with self._lock:
             # min() on the eager load keeps a registration burst from
             # racing every pick onto the momentarily-least shard; the
             # pool lock serialises the reads against each other.
-            reactor = min(self._reactors, key=lambda r: (r.load, r.index))
-        return reactor.register(channel, sink, name=name)
+            return min(self._reactors, key=lambda r: (r.load, r.index))
+
+    def register(self, channel: Channel, sink, name: str = "conn") -> Reactor:
+        """Assign ``channel`` to the least-loaded shard; returns it."""
+        return self.pick().register(channel, sink, name=name)
 
     def add_timer(self, interval: float, callback: Callable[[], None]) -> Timer:
         return self._reactors[0].add_timer(interval, callback)

@@ -497,10 +497,10 @@ class TestEndToEndShedding:
 
 class TestUngaugedRefusal:
     def test_refused_submit_sheds_even_without_a_gauge(self):
-        """Regression: a frame that reaches the dispatcher before the
-        gauge is attached (or with admission off) must still get a
-        BUSY when the pool refuses it — dropping it silently strands
-        the caller until its call timeout."""
+        """Regression: a frame that reaches the dispatcher with no
+        gauge (admission off) must still get a BUSY when the pool
+        refuses it — dropping it silently strands the caller until its
+        call timeout."""
         from repro.rpc.connection import Connection
         from repro.wire.ids import fresh_space_id
 
@@ -514,6 +514,7 @@ class TestUngaugedRefusal:
                 chan_b, fresh_space_id("b"), refusing,
                 lambda conn, msg: None, outbound=False,
             )
+            result["b"].start()
 
         thread = threading.Thread(target=make_b, daemon=True)
         thread.start()
@@ -521,6 +522,7 @@ class TestUngaugedRefusal:
             chan_a, fresh_space_id("a"), accepting,
             lambda conn, msg: None, outbound=True,
         )
+        conn_a.start()
         thread.join(5)
         try:
             assert result["b"]._gauge is None
@@ -582,6 +584,7 @@ class TestGCPlaneExemption:
                 chan_b, fresh_space_id("b"), refusing, handler,
                 outbound=False,
             )
+            result["b"].start()
 
         thread = threading.Thread(target=make_b, daemon=True)
         thread.start()
@@ -589,6 +592,7 @@ class TestGCPlaneExemption:
             chan_a, fresh_space_id("a"), accepting,
             lambda conn, msg: None, outbound=True,
         )
+        conn_a.start()
         thread.join(5)
         try:
             reply = conn_a.call(

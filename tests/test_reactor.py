@@ -361,20 +361,22 @@ class TestIdleReaping:
                 Space("ttl-cli", conn_idle_ttl=0.15) as client:
             server.serve("echo", Echo())
             endpoint = server.endpoints[0]
-            # Hold the agent surrogate so no GC traffic wakes the
-            # connection while it idles.
             agent = client.import_object(endpoint)
             echo = agent.get("echo")
             assert echo.echo(1) == 1
             assert len(client.cache) == 1
             dials = client.cache.stats()["dials"]
+            # A held reference keeps its owner's connection (the owner
+            # may ping over it); once the last one is cleaned, the
+            # connection idles out.
+            del agent, echo
             assert wait_until(lambda: len(client.cache) == 0, timeout=10)
             assert client.cache.stats()["idle_reaped"] >= 1
             assert wait_until(
                 lambda: client.reactor.active_connections == 0
             )
-            # The next call redials transparently.
-            assert echo.echo(2) == 2
+            # The next import and call redial transparently.
+            assert client.import_object(endpoint, "echo").echo(2) == 2
             assert client.cache.stats()["dials"] == dials + 1
 
     def test_failed_send_does_not_pin_connection(self):
@@ -394,6 +396,9 @@ class TestIdleReaping:
             assert connection is not None
             assert not connection._pending  # the slot was unregistered
             assert echo.echo("usable") == "usable"
+            del agent, echo  # a held reference would keep it too
+            assert wait_until(
+                lambda: not client.dgc_client.holds_refs(server.space_id))
             client.cache._last_used[endpoint] -= 100.0
             # A leaked slot would make the sweep skip this connection.
             assert client.cache.sweep_idle() == 1
@@ -449,8 +454,13 @@ class TestIdleReaping:
             connection = client.cache.peek(endpoint)
             assert connection is not None
 
-            future = async_call(sleeper.nap, 0.4)
-            assert wait_until(lambda: len(connection._pending) >= 1)
+            future = async_call(sleeper.nap, 0.8)
+            # Only the call in flight may keep the connection: a held
+            # reference would keep it too.
+            del agent, sleeper
+            assert wait_until(
+                lambda: not client.dgc_client.holds_refs(server.space_id))
+            assert len(connection._pending) == 1
             client.cache._last_used[endpoint] -= 100.0  # well past TTL
             assert client.cache.sweep_idle() == 0
             assert client.cache.peek(endpoint) is connection

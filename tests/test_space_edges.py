@@ -63,6 +63,47 @@ class TestTrackShutdownRace:
         assert space.connection_to(holder["peer"].peer_id) is None
 
 
+class TestTwoPhaseConnections:
+    def test_first_request_finds_its_connection_tracked_and_gauged(self):
+        """A connection delivers nothing until it is tracked and its
+        admission gauge is attached: the first request served on each
+        of 50 fresh connections already finds it in ``_connections``
+        and ``_conns_by_peer`` (the table the pinger reads), gauged."""
+        server = Space("two-phase", listen=["tcp://127.0.0.1:0"], shm="off")
+        client = Space("dialer", shm="off")
+        first_seen = {}
+        lock = threading.Lock()
+        real_handle = server._handle_request
+
+        def spy(connection, message):
+            with lock:
+                if connection not in first_seen:
+                    first_seen[connection] = (
+                        connection in server._connections,
+                        connection in server._conns_by_peer.get(
+                            connection.peer_id, ()),
+                        connection._gauge is not None,
+                    )
+            real_handle(connection, message)
+
+        server._handle_request = spy
+        try:
+            server.serve("counter", Counter())
+            endpoint = server.endpoints[0]
+            counter = client.import_object(endpoint, "counter")
+            for expected in range(1, 51):
+                assert counter.increment() == expected
+                client.cache.peek(endpoint).close()
+            with lock:
+                outcomes = list(first_seen.values())
+            assert len(outcomes) >= 50
+            assert all(all(outcome) for outcome in outcomes), [
+                outcome for outcome in outcomes if not all(outcome)]
+        finally:
+            client.shutdown()
+            server.shutdown()
+
+
 class TestRefPayloadCodec:
     def test_round_trip(self):
         rep = WireRep(fresh_space_id("o"), 12)

@@ -605,7 +605,9 @@ class TestIdleReaping:
             assert not connection.closed and not connection.closing
             assert reader.read() == blob[10:]
             reader.close()
-            # ... and once nothing is open the reaper does its job.
+            # ... and once nothing is open or held the reaper does its
+            # job (a held reference keeps the owner's connection).
+            del reader, remote
             assert wait_until(lambda: connection.closed)
         finally:
             client.shutdown()

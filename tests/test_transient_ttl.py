@@ -74,8 +74,7 @@ class TestTransientLeak:
             transport.shutdown()
 
     def test_ttl_recovers_the_leak(self):
-        gc_config = GcConfig(transient_ttl=0.3,
-                             transient_sweep_interval=0.05)
+        gc_config = GcConfig(transient_ttl=0.3)
         transport, server, client = ack_dropping_spaces(gc_config)
         try:
             vault_impl = Vault()
@@ -97,8 +96,7 @@ class TestTransientLeak:
     def test_ttl_does_not_break_normal_transfers(self, request):
         """With acks flowing normally, expiry never fires early enough
         to matter and semantics are unchanged."""
-        gc_config = GcConfig(transient_ttl=30.0,
-                             transient_sweep_interval=0.05)
+        gc_config = GcConfig(transient_ttl=30.0)
         endpoint = f"inproc://ttl-{request.node.name}"
         with Space("owner", listen=[endpoint], gc=gc_config) as server, \
                 Space("client", gc=gc_config) as client:
