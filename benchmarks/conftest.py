@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import NetObj, Space, quick
+from repro import NetObj, Space
 
 _REPORT_ROWS = defaultdict(list)
 _REPORT_METRICS = defaultdict(dict)
@@ -32,12 +32,11 @@ _REPORT_METRICS = defaultdict(dict)
 class Echo(NetObj):
     """The benchmark workhorse: null calls and payload echoes.
 
-    ``nothing`` is ``@quick`` so the E1 null-call rows exercise the
-    full v5 fast lane (typed frames + inline reactor dispatch) — the
-    configuration the "object-layer overhead" claim is about.
+    ``nothing`` is annotated, so the E1 null-call rows exercise the
+    full fast lane: typed frames, and — once its first worker runs
+    have proven it fast — service on the reactor loop that reads it.
     """
 
-    @quick
     def nothing(self) -> None:
         return None
 

@@ -27,13 +27,12 @@ import sys
 import time
 
 from repro import Space
-from repro.core.netobj import NetObj, quick
+from repro.core.netobj import NetObj
 from repro.marshal.pickler import Pickler
 from repro.marshal.unpickler import Unpickler
 
 
 class Echo(NetObj):
-    @quick
     def nothing(self) -> None:
         return None
 

@@ -29,7 +29,7 @@ Quickstart::
 """
 
 from repro.core import (
-    GcConfig, NetObj, Space, Surrogate, async_call, quick, reads, wiretypes,
+    GcConfig, NetObj, Space, Surrogate, async_call, reads, wiretypes,
 )
 from repro.rpc.futures import CallFuture, RemoteFuture
 from repro.errors import (
@@ -76,7 +76,6 @@ __all__ = [
     "Surrogate",
     "UnmarshalError",
     "async_call",
-    "quick",
     "reads",
     "register_struct",
     "wiretypes",

@@ -7,7 +7,7 @@ imports references from other spaces.  Everything else in this package
 machinery behind those two names.
 """
 
-from repro.core.netobj import NetObj, quick, reads, remote_methods_of
+from repro.core.netobj import NetObj, reads, remote_methods_of
 from repro.core.surrogate import Surrogate
 from repro.core.typecodes import (
     TypeRegistry, global_types, typechain, wiretypes,
@@ -24,7 +24,6 @@ __all__ = [
     "Surrogate",
     "TypeRegistry",
     "global_types",
-    "quick",
     "reads",
     "remote_methods_of",
     "typechain",

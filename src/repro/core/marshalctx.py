@@ -90,6 +90,8 @@ class MarshalContext:
     def __init__(self, space, connection=None):
         self._space = space
         self._connection = connection
+        # A copy's pin is released only by the peer it travels to.
+        self._peer = connection.peer_id if connection is not None else None
 
     # -- NetObjHandler protocol --------------------------------------------------
 
@@ -102,7 +104,7 @@ class MarshalContext:
             wirerep = value._wirerep
             endpoints = value._endpoints
             chain = value._chain
-            copy_id = space.transient.pin(value)
+            copy_id = space.transient.pin(value, self._peer)
         else:
             entry = space.object_table.export(value)
             wirerep = space.object_table.wirerep_for(entry)
@@ -114,7 +116,7 @@ class MarshalContext:
                     "calls to reach"
                 )
             chain = tuple(typechain(type(value)))
-            copy_id = space.transient.pin(value)
+            copy_id = space.transient.pin(value, self._peer)
             space.dgc_owner.record_copy_sent(entry, copy_id)
         return encode_ref(wirerep, copy_id, tuple(endpoints), tuple(chain))
 

@@ -28,7 +28,6 @@ from repro.core.typecodes import global_types, typecode_of
 _METHODS_CACHE: dict = {}
 _METHOD_SET_CACHE: dict = {}
 _READS_CACHE: dict = {}
-_QUICK_CACHE: dict = {}
 
 
 def reads(func):
@@ -68,46 +67,6 @@ def reads_method_set(cls: Type) -> frozenset:
                 names.add(name)
     result = frozenset(names & remote_method_set(cls))
     _READS_CACHE[cls] = result
-    return result
-
-
-def quick(func):
-    """Declare a method safe to run inline on the reactor I/O thread.
-
-    A ``@quick`` method promises it never blocks: no I/O, no lock
-    waits, no nested remote calls, sub-millisecond CPU.  The server
-    then executes it directly on the reactor shard that read the
-    frame, skipping both thread handoffs (reactor → dispatcher →
-    worker) of a normal dispatch — see DESIGN.md, "The call fast
-    lane".  The promise is *checked*: a per-shard inline
-    budget (time + count) demotes a binding whose calls overrun back
-    to the dispatcher, so a mis-marked method degrades throughput
-    instead of stalling every connection on its shard.
-
-    A class may also declare ``_quick_methods_ = ("get", ...)`` to mark
-    methods without decorating them (e.g. on a shared interface class).
-    """
-    func._netobj_quick_ = True
-    return func
-
-
-def quick_method_set(cls: Type) -> frozenset:
-    """Remote methods of ``cls`` declared inline-safe with ``@quick``
-    (or via ``_quick_methods_``), computed once per class like
-    :func:`reads_method_set`."""
-    cached = _QUICK_CACHE.get(cls)
-    if cached is not None:
-        return cached
-    names = set()
-    for klass in cls.__mro__:
-        if klass is object:
-            continue
-        names.update(klass.__dict__.get("_quick_methods_", ()))
-        for name, member in klass.__dict__.items():
-            if getattr(member, "_netobj_quick_", False):
-                names.add(name)
-    result = frozenset(names & remote_method_set(cls))
-    _QUICK_CACHE[cls] = result
     return result
 
 

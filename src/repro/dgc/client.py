@@ -30,6 +30,7 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.dgc.config import GcConfig
 from repro.dgc.states import RefState
 from repro.errors import CommFailure, NarrowingError, NetObjError
+from repro.transport.reactor import runtime_wait
 from repro.wire.ids import SpaceID
 from repro.wire.wirerep import WireRep
 
@@ -71,9 +72,11 @@ class TransientTable:
 
     While a reference copy is in flight, the sender pins the local
     instance (surrogate or concrete object) here; the pin is released
-    by the receiver's copy acknowledgement.  For surrogates the strong
-    reference itself is the pin — the local collector cannot reclaim
-    the surrogate, so the owner keeps the sender in the dirty set.
+    by the receiver's copy acknowledgement — only the receiver's: a pin
+    records the peer the copy travels to, and an ack from any other
+    space releases nothing.  For surrogates the strong reference itself
+    is the pin — the local collector cannot reclaim the surrogate, so
+    the owner keeps the sender in the dirty set.
 
     A lost copy_ack (receiver crashed mid-transfer) would pin forever;
     :meth:`expire` — run periodically by the space when
@@ -82,22 +85,30 @@ class TransientTable:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._pins: Dict[int, object] = {}
+        #: copy_id -> (pinned object, the peer the copy went to)
+        self._pins: Dict[int, Tuple[object, Optional[SpaceID]]] = {}
         self._created: Dict[int, float] = {}
         self._ids = itertools.count(1)
         self.expired_total = 0
 
-    def pin(self, obj: object) -> int:
+    def pin(self, obj: object, peer: Optional[SpaceID] = None) -> int:
         with self._lock:
             copy_id = next(self._ids)
-            self._pins[copy_id] = obj
+            self._pins[copy_id] = (obj, peer)
             self._created[copy_id] = time.monotonic()
             return copy_id
 
-    def release(self, copy_id: int) -> Optional[object]:
+    def release(self, copy_id: int,
+                peer: Optional[SpaceID] = None) -> Optional[object]:
+        """Drop the pin ``peer`` acknowledges; the pinned object, or
+        None when there is no such pin or it belongs to another peer."""
         with self._lock:
+            pin = self._pins.get(copy_id)
+            if pin is None or pin[1] != peer:
+                return None
+            del self._pins[copy_id]
             self._created.pop(copy_id, None)
-            return self._pins.pop(copy_id, None)
+            return pin[0]
 
     def expire(self, ttl: float) -> "list[tuple[int, object]]":
         """Release every pin older than ``ttl`` seconds; returns the
@@ -108,7 +119,7 @@ class TransientTable:
         with self._lock:
             for copy_id, created in list(self._created.items()):
                 if created < cutoff:
-                    expired.append((copy_id, self._pins.pop(copy_id)))
+                    expired.append((copy_id, self._pins.pop(copy_id)[0]))
                     del self._created[copy_id]
                     self.expired_total += 1
         return expired
@@ -243,6 +254,7 @@ class DgcClient:
     def _wait(self, entry: RefEntry) -> None:
         """Wait for a state change; raise if this life cycle failed."""
         epoch = entry.epoch
+        runtime_wait()
         entry.cond.wait(self._config.gc_call_timeout)
         if entry.epoch != epoch and entry.last_failure is not None:
             raise CommFailure(

@@ -32,6 +32,7 @@ from typing import Callable, Dict, Optional
 
 from repro.errors import CommFailure, SpaceShutdownError
 from repro.rpc.connection import Connection
+from repro.transport.reactor import runtime_wait
 from repro.wire.ids import SpaceID
 
 
@@ -121,7 +122,9 @@ class ConnectionCache:
                 self._last_used[endpoint] = self._clock()
                 return existing
             per_endpoint = self._locks.setdefault(endpoint, threading.Lock())
-        # Serialise dials per endpoint but not across endpoints.
+        # Serialise dials per endpoint but not across endpoints.  A dial
+        # (or the wait for another thread's) blocks on the network.
+        runtime_wait()
         with per_endpoint:
             with self._lock:
                 existing = self._connections.get(endpoint)

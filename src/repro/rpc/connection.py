@@ -5,13 +5,14 @@ side allocates its own call ids, keeps its own pending-call table, and
 serves whatever requests the peer sends.  Incoming frames arrive via
 the :class:`~repro.transport.reactor.FrameSink` callbacks
 (:meth:`Connection.on_frame` / :meth:`Connection.on_closed`) — from
-the space's shared reactor thread for selectable channels, from a
-per-connection :class:`~repro.transport.reactor.ChannelPump` bridge
-otherwise.  Either way the delivering thread decodes envelopes only:
-replies complete a pending call on the issuer's thread, requests go to
-the space's dispatcher.  Argument and result pickles are *not* decoded
-on the delivering thread — blocking work (including nested dirty calls
-triggered by unpickling) happens in the thread that owns the call.
+a reactor shard's loop for selectable channels, from a per-connection
+:class:`~repro.transport.reactor.ChannelPump` bridge otherwise.  The
+delivering thread decodes the envelope: replies complete a pending
+call future, and a request is offered to the owning space's
+``serve_here`` hook, which serves it on the spot when the runtime
+answers it without user code or its method has proven fast (see
+:mod:`repro.transport.reactor`); every other request goes to the
+space's dispatcher.
 
 Calls come in two shapes over the same call-id multiplexing:
 
@@ -45,7 +46,7 @@ from repro.rpc.dispatcher import Dispatcher
 from repro.rpc.futures import CallFuture
 from repro.rpc.streamplane import StreamStats, StreamTable
 from repro.transport.base import Channel, SelectableChannel
-from repro.transport.reactor import ChannelPump, ReactorPool
+from repro.transport.reactor import ChannelPump, ReactorPool, runtime_wait
 from repro.wire import protocol
 from repro.wire.framing import BufferPool, finish_frame
 from repro.wire.ids import SpaceID
@@ -108,7 +109,7 @@ class Connection:
         outbound: bool = True,
         handshake_timeout: float = 10.0,
         reactor: Optional[ReactorPool] = None,
-        inline_handler: Optional[
+        serve_here: Optional[
             Callable[["Connection", messages.Message], bool]
         ] = None,
         profile=None,
@@ -128,7 +129,7 @@ class Connection:
         self._closing = False  # set under _pending_lock; rejects new calls
         self._send_buffers = BufferPool()
         self._reactor = reactor
-        self._inline_handler = inline_handler
+        self._serve_here = serve_here
         self._profile = profile
         # Method-id interning tables (see PROTOCOL.md, "Bound calls").
         # Each direction allocates its own ids, exactly like call ids,
@@ -343,6 +344,7 @@ class Connection:
 
     def flush_output(self, timeout: float) -> None:
         """Wait until buffered output has reached the wire."""
+        runtime_wait()
         if not self._channel.flush(timeout) and not self._closed.is_set():
             raise CallTimeout(
                 f"peer took no output for {timeout} s (not reading)")
@@ -449,9 +451,10 @@ class Connection:
 
     # -- incoming traffic (FrameSink protocol) ----------------------------------
     #
-    # Called on the reactor thread (selectable channels) or a pump
-    # thread (everything else).  Neither callback may block: envelope
-    # decode, pending-table completion, and dispatcher hand-off only.
+    # Called on a reactor loop (selectable channels) or a pump thread
+    # (everything else).  Neither callback waits for the network:
+    # envelope decode, pending-table completion, the ``serve_here``
+    # hook, and dispatcher hand-off only.
 
     def on_frame(self, frame) -> None:
         profile = self._profile
@@ -470,7 +473,7 @@ class Connection:
             self._teardown(CommFailure("connection closed by peer"))
             return
         if profile is not None:
-            # Envelope decode + routing only: inline execution below is
+            # Envelope decode + routing only: a request served here is
             # user code and accounts itself in the space's buckets.
             profile.reactor_ns += time.perf_counter_ns() - start
             profile.reactor_calls += 1
@@ -497,30 +500,29 @@ class Connection:
         gauge = self._gauge
         gc_plane = tag in _GC_PLANE_TAGS
         nbytes = 0
+        admission = self._admission
+        bkey = None
         if gauge is not None:
             nbytes = len(frame)
             reason = gauge.admit(nbytes, police=not gc_plane)
             if reason is not None:
                 self._shed(message, reason, "shed_rate")
                 return
-        # The inline fast lane: let the owning space run a bound
-        # typed call right here on the delivering thread (budgeted —
-        # see Reactor.try_acquire_inline).  False means "dispatch
-        # normally"; the handler itself never blocks unboundedly.
-        inline = self._inline_handler
-        if inline is not None and inline(self, message):
+            # A request served here counts against its target's
+            # bulkhead exactly as a worker-served one does.
+            if not gc_plane and admission.config.bulkhead_quota is not None:
+                bkey = self._bulkhead_key(message)
+                if bkey is not None and not admission.bulkhead_enter(bkey):
+                    gauge.release(nbytes)
+                    self._shed(message, "target quota", "shed_bulkhead")
+                    return
+        serve_here = self._serve_here
+        if serve_here is not None and serve_here(self, message):
             if gauge is not None:
                 gauge.release(nbytes)
+                if bkey is not None:
+                    admission.bulkhead_leave(bkey)
             return
-        admission = self._admission
-        bkey = None
-        if gauge is not None and not gc_plane \
-                and admission.config.bulkhead_quota is not None:
-            bkey = self._bulkhead_key(message)
-            if bkey is not None and not admission.bulkhead_enter(bkey):
-                gauge.release(nbytes)
-                self._shed(message, "target quota", "shed_bulkhead")
-                return
         if profile is None:
             base_task = lambda m=message: self._handle_request(self, m)  # noqa: E731
         else:

@@ -33,6 +33,7 @@ import threading
 from typing import Callable, List, Optional
 
 from repro.errors import CallTimeout
+from repro.transport.reactor import runtime_wait
 
 logger = logging.getLogger("repro.rpc.futures")
 
@@ -101,7 +102,11 @@ class CallFuture:
         """Wait for completion; a timeout *abandons* the call — the
         slot leaves the pending table, a late reply is dropped, and the
         future completes with :class:`CallTimeout`."""
-        if self._event.wait(timeout):
+        event = self._event
+        if event.is_set():
+            return
+        runtime_wait()
+        if event.wait(timeout):
             return
         connection = self._connection
         with connection._pending_lock:

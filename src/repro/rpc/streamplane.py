@@ -49,6 +49,7 @@ from repro.errors import (
     exception_for_fault,
 )
 from repro.rpc import messages
+from repro.transport.reactor import runtime_wait
 
 #: A window is this many chunks: enough that the producer is never idle
 #: while one chunk is on the wire and one is being consumed.
@@ -587,6 +588,7 @@ class _Opened:
 
     def _wait(self) -> None:
         """Condition held: block for the next event, bounded."""
+        runtime_wait()
         if not self._cond.wait(self._timeout):
             raise CallTimeout(
                 f"stream {self.stream_id}: nothing from the peer "

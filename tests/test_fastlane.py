@@ -1,16 +1,16 @@
 """The call fast lane.
 
-Covers the three stacked per-call eliminations — method-id interning
-(CALL_BIND/CALL_BOUND), typed scalar argument/result codecs
-(CALL_FAST/RESULT_FAST), and budgeted inline reactor dispatch for
-``@quick`` methods — plus the parity of the one serve pipeline behind
-all three call frames (faults, unknown methods, evicted bindings,
+Covers the stacked per-call eliminations — method-id interning
+(CALL_BIND/CALL_BOUND) and typed scalar argument/result codecs
+(CALL_FAST/RESULT_FAST) — plus the parity of the one serve pipeline
+behind all three call frames (faults, unknown methods, evicted bindings,
 non-function callables, references returned on the fast lane).  Also
 the zero-copy regression for call decode fed ``bytes`` instead of a
 memoryview, the GC obligation that a server-side method binding never
 pins its object against the distributed collector, and the
 LEASE_RELEASE a lease holder sends ahead of its own write, which the
-same inline hook applies.
+reactor loop that reads it applies.  Loop-served requests have their
+own module, ``test_loop_serving.py``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import time
 import pytest
 
 from repro import (
-    NetObj, NoSuchMethodError, NoSuchObjectError, RemoteError, Space, quick,
-    reads, wiretypes,
+    NetObj, NoSuchMethodError, NoSuchObjectError, RemoteError, Space, reads,
+    wiretypes,
 )
 from repro.core import typecodes
 from repro.errors import UnmarshalError
@@ -37,7 +37,6 @@ from tests.helpers import settle, wait_until
 class FastEcho(NetObj):
     """Scalar-only signatures (annotated or declared) plus escapes."""
 
-    @quick
     def add(self, a: int, b: int) -> int:
         return a + b
 
@@ -55,18 +54,6 @@ class FastEcho(NetObj):
 
     def anything(self, value):
         return value
-
-
-class Sleeper(NetObj):
-    """A mis-marked @quick method: blocks far past the demote bound."""
-
-    @quick
-    def nap(self) -> None:
-        time.sleep(0.05)
-
-    @quick
-    def tick(self) -> int:
-        return 1
 
 
 class Token(NetObj):
@@ -212,63 +199,6 @@ class TestFastLaneRuntime:
             # The binding is not poisoned: conforming calls go fast again.
             assert e.loose(3) == 3
             assert client.fastlane_calls >= fast_before + 1
-
-    def test_quick_methods_dispatch_inline_on_the_reactor(self):
-        server, client, endpoint = _pair("inline")
-        with server, client:
-            server.serve("s", Sleeper())
-            s = client.import_object(endpoint, "s")
-            assert s.tick() == 1  # bind call: normal dispatch
-            for _ in range(30):
-                assert s.tick() == 1
-            assert wait_until(
-                lambda: server.reactor.stats()["inline_dispatches"] >= 10
-            )
-            assert server.inline_demotions == 0
-
-    def test_misdeclared_quick_is_demoted_without_stalling_the_shard(self):
-        server, client_a, endpoint = _pair(
-            "demote", server_kwargs={"reactor_shards": 1}
-        )
-        client_b = Space("fl-cli-demote-b", shm="off")
-        with server, client_a, client_b:
-            server.serve("s", Sleeper())
-            sleeper = client_a.import_object(endpoint, "s")
-            other = client_b.import_object(endpoint, "s")
-            sleeper.nap()  # bind call: dispatcher path, no inline yet
-
-            failures = []
-
-            def blocker():
-                try:
-                    sleeper.nap()  # CALL_FAST: inlined, overruns, demotes
-                except Exception as exc:  # pragma: no cover - diagnostics
-                    failures.append(exc)
-
-            thread = threading.Thread(target=blocker)
-            thread.start()
-            # The second connection keeps making progress while the
-            # mis-marked method blocks the shard's inline budget.
-            for _ in range(10):
-                assert other.tick() == 1
-            thread.join(5)
-            assert not thread.is_alive() and not failures
-            assert wait_until(lambda: server.inline_demotions == 1)
-
-            # inline_dispatches is accounted *after* a call's result
-            # frame is sent, so the last tick's increment can trail its
-            # reply; settle the counter before sampling it.
-            def inline_count_settled():
-                count = server.reactor.stats()["inline_dispatches"]
-                time.sleep(0.05)
-                return count == server.reactor.stats()["inline_dispatches"]
-
-            assert wait_until(inline_count_settled)
-            # The demoted binding never runs inline again.
-            inlined = server.reactor.stats()["inline_dispatches"]
-            sleeper.nap()
-            assert server.reactor.stats()["inline_dispatches"] == inlined
-            assert server.inline_demotions == 1
 
     def test_async_calls_ride_the_fast_lane(self):
         from repro import async_call

@@ -72,6 +72,41 @@ class TestHeldReferenceKeepsConnection:
             owner.shutdown()
 
 
+class Napper(NetObj):
+    def nap(self, seconds: float) -> int:
+        time.sleep(seconds)
+        return 1
+
+
+class TestBusyClient:
+    def test_a_busy_pool_does_not_get_a_live_client_purged(self):
+        """A client whose only dispatcher worker is busy for longer
+        than the owner's purge deadline still answers pings: a PING is
+        served on the reactor loop that reads it, never queued behind
+        user code.  The client is not purged, and its reference still
+        works afterwards."""
+        owner = Space("owner", listen=["tcp://127.0.0.1:0"], shm="off",
+                      gc=GcConfig(ping_interval=0.1, ping_timeout=0.2,
+                                  ping_max_failures=2))
+        client = Space("client", listen=["tcp://127.0.0.1:0"], shm="off",
+                       dispatcher_max_workers=1)
+        third = Space("third", shm="off")
+        with owner, client, third:
+            owner.serve("counter", Counter())
+            client.serve("napper", Napper())
+            counter = client.import_object(owner.endpoints[0], "counter")
+            assert counter.increment() == 1
+            napper = third.import_object(client.endpoints[0], "napper")
+            napping = threading.Thread(target=napper.nap, args=(1.5,))
+            napping.start()
+            napping.join(10)
+            assert not napping.is_alive()
+            assert owner.stats()["gc"]["clients_purged"] == 0
+            assert counter.increment() == 2
+            # The client was pinged all along, not merely left alone.
+            assert owner.stats()["gc"]["pings_sent"] >= 5
+
+
 class TestPingRounds:
     def test_silent_clients_are_purged_in_one_timeout_per_round(self):
         """Six silent clients cost one ``ping_timeout`` per round, not

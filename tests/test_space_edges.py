@@ -68,12 +68,14 @@ class TestTwoPhaseConnections:
         """A connection delivers nothing until it is tracked and its
         admission gauge is attached: the first request served on each
         of 50 fresh connections already finds it in ``_connections``
-        and ``_conns_by_peer`` (the table the pinger reads), gauged."""
+        and ``_conns_by_peer`` (the table the pinger reads), gauged.
+        ``Space._serve`` is where every request is served, on a worker
+        or on the reactor loop that read it."""
         server = Space("two-phase", listen=["tcp://127.0.0.1:0"], shm="off")
         client = Space("dialer", shm="off")
         first_seen = {}
         lock = threading.Lock()
-        real_handle = server._handle_request
+        real_handle = server._serve
 
         def spy(connection, message):
             with lock:
@@ -86,7 +88,7 @@ class TestTwoPhaseConnections:
                     )
             real_handle(connection, message)
 
-        server._handle_request = spy
+        server._serve = spy
         try:
             server.serve("counter", Counter())
             endpoint = server.endpoints[0]
@@ -154,6 +156,43 @@ class TestMarshalContextEdges:
             assert endpoints == (endpoint,)
             assert copy_id >= 1
             client.transient.release(copy_id)  # undo the pin
+
+
+class _PeerOnly:
+    """The one thing a marshal context reads of its connection."""
+
+    def __init__(self, peer_id):
+        self.peer_id = peer_id
+
+
+class TestCopyAck:
+    def test_only_the_receiving_peer_releases_a_copy(self, request):
+        """A pin records the peer its copy travels to.  A COPY_ACK from
+        any other space leaves the pin and the owner's transient entry
+        in place; the receiver's own ack releases both, and takes the
+        entry from the pinned object, whatever target the frame
+        names."""
+        from repro.rpc import messages
+
+        with Space("owner", listen=[f"inproc://ack-{request.node.name}"]) \
+                as owner:
+            receiver, stranger = fresh_space_id("rx"), fresh_space_id("x")
+            obj = Counter()
+            payload = MarshalContext(owner, _PeerOnly(receiver)).marshal(obj)
+            wirerep, copy_id, _endpoints, _chain = decode_ref(payload)
+            entry = owner.object_table.exported_entry_for(obj)
+            assert copy_id in entry.tdirty
+
+            owner._apply_copy_ack(stranger, messages.CopyAck(wirerep, copy_id))
+            assert len(owner.transient) == 1
+            assert copy_id in entry.tdirty
+
+            wrong = WireRep(owner.space_id, wirerep.index + 1000)
+            owner._apply_copy_ack(receiver, messages.CopyAck(wrong, copy_id))
+            assert len(owner.transient) == 0
+            assert copy_id not in entry.tdirty
+            # Nothing else held the export: it is dropped.
+            assert owner.object_table.exported_entry_for(obj) is None
 
 
 class TestBadTargets:
