@@ -129,7 +129,7 @@ class SelectableChannel(Channel):
     Lifecycle: the reactor calls :meth:`attach_reactor` once (switching
     the descriptor to nonblocking mode), registers :meth:`fileno` for
     readable events, and from then on invokes :meth:`handle_readable` /
-    :meth:`handle_writable` **only on the reactor thread**.  The
+    :meth:`handle_writable` **only on the thread holding the loop**.  The
     channel asks for writable events via ``reactor.request_write`` when
     a nonblocking send leaves a backlog, and reports ``wants_write``
     when polled so the reactor can drop write interest once drained.
@@ -145,9 +145,11 @@ class SelectableChannel(Channel):
         """Go nonblocking; deliver decoded frames to ``sink``."""
 
     @abstractmethod
-    def handle_readable(self) -> None:
-        """Drain readable bytes, feeding complete frames to the sink;
-        reports end-of-stream/errors via ``sink.on_closed``."""
+    def handle_readable(self, ready) -> None:
+        """Drain readable bytes.  Append each complete frame to the
+        loop's ``ready`` deque as ``(sink.on_frame, payload)``, and
+        end-of-stream or an error as ``(sink.on_closed, failure)``,
+        once.  The loop makes those calls; this one never does."""
 
     @abstractmethod
     def handle_writable(self) -> bool:
